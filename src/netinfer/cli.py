@@ -10,6 +10,7 @@ supplies one.  Exit codes: 0 success, 1 runtime failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -85,7 +86,12 @@ class _Opts:
         return cast(value) if cast is not None else value
 
     def seed(self) -> int:
-        return self.get("seed", required=True, cast=int)
+        seed = self.get("seed", required=True, cast=int)
+        try:
+            RngStream(seed)
+        except ValueError as exc:  # out of [0, 2^64) would alias another seed
+            raise UsageError(f"--seed: {exc}") from None
+        return seed
 
     def replicas(self, default=None, minimum: int = 1) -> int:
         value = self.get("replicas", default=default, required=default is None,
@@ -679,7 +685,7 @@ def _cmd_tree_root(opts: _Opts) -> dict:
         "success_rate": report.success_rate, "se": report.se,
         "replicas": replicas,
     }
-    if epsilon is not None:
+    if k_opt is None:  # the bound belongs to the K derived from epsilon
         result["coverage_bound"] = (1.0 - 4.0 * epsilon / (1.0 - epsilon)
                                     if report.model == "ua" else None)
         result["bound_note"] = (
@@ -842,7 +848,10 @@ def _add_sbm_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--q-matrix", help="rate matrix, rows ';'-separated")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree; built once per process, since building it
+    costs more than many commands do."""
     parser = argparse.ArgumentParser(
         prog="netinfer",
         description="Reproducible network-model experiments; one JSON record "

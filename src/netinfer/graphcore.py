@@ -6,12 +6,13 @@ serializer are the only places where the shift happens.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64  # each Philox key word is an unsigned 64-bit integer
 
 
 class ParseError(ValueError):
@@ -28,21 +29,29 @@ class RngStream:
     streams.  Monte Carlo replica i of an experiment uses stream id
     base + i (``substream(i)``), so results never depend on execution
     order or on how replicas are scheduled across workers.
+
+    Both key words must lie in [0, 2^64): a value outside would alias
+    another key, so it is rejected rather than reduced.
     """
 
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream id", self.stream)):
+            if not 0 <= operator.index(value) < _KEY_LIMIT:
+                raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64],
-                       dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, index: int) -> "RngStream":
-        """Stream for replica `index` relative to this base stream."""
+        """Stream for replica `index` relative to this base stream; raises
+        ValueError when the stream id would pass 2^64 - 1."""
         if index < 0:
             raise ValueError("replica index must be nonnegative")
-        return RngStream(self.seed, (self.stream + index) & _MASK64)
+        return RngStream(self.seed, self.stream + index)
 
 
 class Graph:

@@ -81,6 +81,30 @@ def test_missing_seed_is_usage_error(capsys, tmp_path):
     assert "--seed is required" in err
 
 
+def test_seed_outside_64_bits_is_usage_error(capsys, tmp_path):
+    # -1 would otherwise alias 2^64 - 1, and 2^64 alias 0
+    out = str(tmp_path / "g.txt")
+    gen = ("geom", "gen", "--n", "20", "--p", "0.5", "--d", "3", "--out", out)
+    for seed in ("-1", "18446744073709551616"):
+        code, stdout, err = run(capsys, *gen, "--seed", seed)
+        assert code == 2 and stdout == ""
+        assert "--seed" in err and "[0, 2^64)" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert run(capsys, *gen, "--config", str(cfg))[0] == 2
+    rec = run_record(capsys, *gen, "--seed", "18446744073709551615")
+    assert rec["seed"] == 2**64 - 1
+
+
+def test_repeated_calls_in_one_process(capsys):
+    argv = ("mc", "power", "--pair", "geom", "--n", "12", "--p", "0.5",
+            "--d", "3", "--stat", "tau", "--replicas", "100", "--seed", "8")
+    first = run_record(capsys, *argv)
+    assert run(capsys, "mc", "power", "--no-such-flag")[0] == 2
+    assert run(capsys, *argv[:-2])[0] == 2  # missing --seed
+    assert run_record(capsys, *argv) == first
+
+
 def test_deterministic_command_rejects_seed(capsys):
     # chd consumes no randomness, so it does not even accept the flag
     code, _, _ = run(capsys, "sbm", "chd", "--k", "2", "--a", "4.5",
@@ -430,6 +454,16 @@ def test_tree_root_pa_flags_uncalibrated_constant(capsys):
     assert res["K"] == required_k("pa", 0.45)
     assert res["coverage_bound"] is None
     assert "uncalibrated" in res["bound_note"]
+
+
+def test_tree_root_k_set_with_epsilon_omits_bound(capsys):
+    # the coverage bound belongs to the K derived from epsilon, not to K = 1
+    rec = run_record(capsys, "tree", "root", "--model", "ua", "--n", "50",
+                     "--k-set", "1", "--epsilon", "0.1", "--replicas", "20",
+                     "--seed", "37")
+    res = rec["result"]
+    assert res["K"] == 1 and res["epsilon"] == 0.1
+    assert "coverage_bound" not in res and "bound_note" not in res
 
 
 def test_tree_root_explicit_k(capsys):

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import betaincinv
+from scipy.special import betainc, betaincinv
 
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
 from netinfer.geom import (
     GaussianMatrix,
+    SpherePoints,
     calibrate_tau,
     detect_geometry,
     estimate_dimension,
@@ -24,6 +25,8 @@ from netinfer.geom import (
     tr_cubed,
     triangle_count,
     triangle_moments_er,
+    _bartlett,
+    _draw_entries,
     _linear_to_pair,
     _rgg_circle,
 )
@@ -106,6 +109,16 @@ def test_threshold_validation():
         threshold(1.0, 3)
     with pytest.raises(ValueError):
         threshold(0.5, 1)
+
+
+def test_threshold_closed_form_attains_p():
+    # the attained probability of the closed form, far into both tails
+    # and out to d = 1e8
+    for d in (2, 3, 4, 7, 64, 2048, 16384, 40960, 10**6, 10**8):
+        a = (d - 1) / 2.0
+        for p in (1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6):
+            t = threshold(p, d)
+            assert abs(1.0 - betainc(a, a, (1.0 + t) / 2.0) - p) <= 1e-10
 
 
 # ------------------------------------------------------------- graphs
@@ -382,6 +395,80 @@ def test_tr_cubed_goe_mean_zero():
                                     rng=RngStream(24, i)))
             for i in range(400)]
     assert_mean_close(vals, 0.0)
+
+
+# ------------------------------------------- Bartlett vs direct draws
+
+# two-sample KS critical value at alpha = 1e-3 for R samples per arm
+_R = 2000
+_KS_CRIT = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2.0 / _R)
+
+
+@pytest.mark.parametrize("n,d", [(16, 64), (32, 64), (16, 40960)])
+def test_bartlett_path_matches_direct_law(n, d):
+    """Bartlett-drawn sphere graphs and Wishart matrices have the laws of
+    the direct n x d draws: tau and edge count of G(n, 1/2, d), two
+    off-diagonal entries of W(n, d) and tr(A^3) of the scaled ensemble."""
+    base = RngStream(40, 0)
+
+    def stats(g, W, A):
+        return (signed_triangle_stat(g, 0.5), g.m, W[0, 1], W[n - 2, n - 1],
+                tr_cubed(A))
+
+    fast = []
+    for i in range(_R):
+        s = base.substream(i)
+        fast.append(stats(sample_rgg(n, 0.5, d, s),
+                          sample_wishart(n, d, rng=s).values,
+                          sample_wishart(n, d, kind="wishart_scaled_nodiag",
+                                         rng=s)))
+    direct = []
+    for i in range(_R):
+        s = base.substream(_R + i)
+        Y = s.generator().standard_normal((n, d))
+        W = Y @ Y.T
+        A = W - np.diag(np.diag(W))
+        # the points sample_sphere(n, d, s) draws, from the same Y
+        points = SpherePoints(Y / np.linalg.norm(Y, axis=1, keepdims=True))
+        if i == 0:
+            assert (points.coords == sample_sphere(n, d, s).coords).all()
+        direct.append(stats(rgg_from_points(points, 0.5), W, A / math.sqrt(d)))
+    fast, direct = np.array(fast), np.array(direct)
+    for k in range(fast.shape[1]):
+        assert ks_distance(fast[:, k], direct[:, k]) < _KS_CRIT, k
+
+
+@pytest.mark.parametrize("n,d,entry_dist,bartlett", [
+    (12, 5, "gaussian", False),
+    (12, 12, "gaussian", True),
+    (12, 300, "gaussian", True),
+    (12, 300, "uniform-scaled", False),
+    (12, 300, "rademacher", False),
+])
+def test_wishart_path_follows_entry_law_and_dimension(n, d, entry_dist, bartlett):
+    s = RngStream(42, d)
+    if bartlett:
+        L = _bartlett(n, d, s.generator())
+        expect = L @ L.T
+    else:
+        Y = _draw_entries(s.generator(), (n, d), entry_dist)
+        expect = Y @ Y.T
+    w = sample_wishart(n, d, entry_dist=entry_dist, rng=s)
+    assert (w.values == (expect + expect.T) / 2.0).all()
+    assert np.linalg.matrix_rank(w.values) == min(n, d)
+
+
+@pytest.mark.parametrize("n,d,bartlett", [(20, 3, False), (20, 19, False),
+                                          (20, 20, True), (20, 500, True)])
+def test_rgg_path_follows_dimension(n, d, bartlett):
+    s = RngStream(43, d)
+    if bartlett:
+        X = _bartlett(n, d, s.generator())
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+    else:
+        X = sample_sphere(n, d, s).coords
+    adj = np.triu(X @ X.T >= threshold(0.4, d), 1)
+    assert (sample_rgg(n, 0.4, d, s).adj == (adj | adj.T)).all()
 
 
 # ---------------------------------------------------------------- h map

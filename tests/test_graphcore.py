@@ -256,6 +256,20 @@ def test_substream_is_stream_offset():
         s.substream(-1)
 
 
+def test_rng_stream_keys_must_fit_64_bits():
+    RngStream(2**64 - 1, 2**64 - 1).generator()
+    for seed, stream in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            RngStream(seed, stream)
+
+
+def test_substream_past_last_stream_id_raises():
+    last = RngStream(5).substream(2**64 - 1)
+    assert last.stream == 2**64 - 1
+    with pytest.raises(ValueError, match="stream id"):
+        last.substream(1)
+
+
 def test_rng_stream_is_frozen():
     s = RngStream(1, 2)
     with pytest.raises((AttributeError, TypeError)):
