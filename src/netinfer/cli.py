@@ -628,7 +628,7 @@ def _parse_seed_tree(value) -> Tree | None:
         if value == "edge":
             return Tree.from_parents([-1, 0])
         g = _read_graph(value)
-        return Tree.from_edges(g.n, [(int(u), int(v)) for u, v in g.edges()])
+        return Tree.from_edges(g.n, g.edges())
     raise UsageError("--seed-tree must be star:N, path:N, singleton, edge, "
                      "or an edge-list file")
 

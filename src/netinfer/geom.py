@@ -11,6 +11,11 @@ decomposition W = L L^T from about n^2/2 numbers, so their cost does not
 grow with d.  The Gram matrix of n uniform sphere points is W(n, d)
 divided by its diagonal, so G(n, p, d) follows from the same draw.
 Uniform and Rademacher entries and d < n keep the direct n x d draw.
+
+Random graphs take the dense store only when graphcore.prefers_dense says
+it pays for the expected edge count; otherwise G(n, p) is drawn by
+geometric skipping over the pairs and G(n, p, d) from sorted angles
+(d = 2) or row-chunked Gram products, so cost follows the edge count.
 """
 
 from __future__ import annotations
@@ -24,14 +29,11 @@ import numpy as np
 import scipy.sparse as _sparse
 from scipy.special import betainc, betaincinv
 
-from .graphcore import Graph, RngStream
+from .graphcore import Graph, RngStream, check_dense, prefers_dense
 from .harness import replicate, weighted_midpoint
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
 ENTRY_DISTS = ("gaussian", "uniform-scaled", "rademacher")
-
-# above this size dense O(n^2)/O(n^3) paths give way to edge-based ones
-_DENSE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ def rgg_from_points(points: SpherePoints, p: float) -> Graph:
     """Geometric graph on given points: edge iff inner product >= t_{p,d}."""
     t = threshold(p, points.d)
     n = points.n
-    if n <= _DENSE_LIMIT:
+    if prefers_dense(n, p * n * (n - 1) / 2):
+        check_dense(n, 8, "the Gram matrix")
         return _dense_rgg(points.coords @ points.coords.T, t)
     if points.d == 2 and t > 0.0:
         return _rgg_circle(points.coords, t)
@@ -164,11 +167,12 @@ def rgg_from_points(points: SpherePoints, p: float) -> Graph:
 def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
     """Random geometric graph G(n, p, d).
 
-    For n <= d (and n small enough for the dense path) the Gram matrix of
-    the sphere points is drawn as W_ij / sqrt(W_ii W_jj) with W = W(n, d)
-    from the Bartlett decomposition; otherwise the points are drawn.
+    For n <= d, when the dense store pays (prefers_dense), the Gram matrix
+    of the sphere points is drawn as W_ij / sqrt(W_ii W_jj) with
+    W = W(n, d) from the Bartlett decomposition; otherwise the points are
+    drawn.
     """
-    if 0 < n <= min(d, _DENSE_LIMIT):
+    if 0 < n <= d and prefers_dense(n, p * n * (n - 1) / 2):
         t = threshold(p, d)
         L = _bartlett(n, d, rng.generator())
         L /= np.linalg.norm(L, axis=1, keepdims=True)
@@ -177,37 +181,34 @@ def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
 
 
 def sample_er(n: int, p: float, rng: RngStream) -> Graph:
-    """Erdos-Renyi G(n, p) with i.i.d. Bernoulli(p) edges."""
+    """Erdos-Renyi G(n, p) with i.i.d. Bernoulli(p) edges: a dense mask
+    when the dense store pays (prefers_dense), geometric skipping over the
+    pairs otherwise."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be positive")
     gen = rng.generator()
-    if n <= _DENSE_LIMIT:
-        adj = np.triu(gen.random((n, n)) < p, 1)
-        adj |= adj.T
-        return Graph._trusted(adj)
-    return Graph.from_edges(n, _sparse_bernoulli_edges(n, p, gen))
+    if prefers_dense(n, p * n * (n - 1) / 2):
+        return _dense_er(n, p, gen)
+    return _skip_er(n, p, gen)
 
 
 def triangle_count(g: Graph) -> int:
     """Number of triangles T(G) = Tr(A^3)/6.
 
-    Dense matrix product at desk scale; for larger graphs the count runs
-    over sparse adjacency products, which is exact and much faster when
-    the graph is sparse.
+    A dense matrix product when the dense store pays for the graph's edge
+    count (prefers_dense); otherwise sparse adjacency products, which are
+    exact and much faster on a sparse graph.
     """
     n = g.n
-    if n <= 2048:
-        a = g.adj.astype(np.float32)
+    if prefers_dense(n, g.m):
+        check_dense(n, 4, "the triangle count")
+        a = g.to_dense().astype(np.float32)
         return int(round(float(((a @ a) * a).sum(dtype=np.float64)) / 6.0))
-    e = g.edges()
-    if e.size == 0:
+    if g.m == 0:
         return 0
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    A = _sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n))
+    A = _csr_matrix(g)
     return int(round(((A @ A).multiply(A)).sum() / 6.0))
 
 
@@ -216,7 +217,8 @@ def signed_triangle_stat(g: Graph, p: float) -> float:
     centered by p off the diagonal and zero on it."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    B = g.adj.astype(np.float64) - p
+    check_dense(g.n, 8, "the signed triangle statistic")
+    B = g.to_dense().astype(np.float64) - p
     np.fill_diagonal(B, 0.0)
     return float(((B @ B) * B).sum()) / 6.0
 
@@ -259,6 +261,7 @@ def sample_wishart(n: int, d: int, entry_dist: str = "gaussian",
         raise ValueError(f"kind must be one of {WISHART_KINDS}")
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
+    check_dense(n, 8, f"the {kind} matrix")
     gen = rng.generator()
     if kind in ("wishart", "wishart_scaled_nodiag"):
         if entry_dist == "gaussian" and d >= n:
@@ -388,6 +391,7 @@ def _bartlett(n: int, d: int, gen: np.random.Generator) -> np.ndarray:
     first, row-major) and L_ii = sqrt(chi^2_{d-i}) for i = 0..n-1, so the
     draw takes n(n+1)/2 numbers whatever d is.
     """
+    check_dense(n, 8, "the Bartlett factor")
     L = np.zeros((n, n))
     L[np.tril_indices(n, -1)] = gen.standard_normal(n * (n - 1) // 2)
     L[np.diag_indices(n)] = np.sqrt(gen.chisquare(d - np.arange(n)))
@@ -437,29 +441,43 @@ def _rgg_circle(coords: np.ndarray, t: float) -> Graph:
 
 
 def _edges_by_chunks(coords: np.ndarray, t: float):
-    """Edge list of the geometric graph via row-chunked Gram products."""
+    """Edge list of the geometric graph via row-chunked Gram products; a
+    chunk of rows is multiplied only with the columns from its first row
+    on, so the products cover the upper triangle."""
     n = coords.shape[0]
     chunk = max(1, int(2_000_000 // max(n, 1)))
     edges = []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        gram = coords[start:stop] @ coords.T
-        mask = gram >= t
-        mask &= np.arange(n)[None, :] > np.arange(start, stop)[:, None]
+        mask = coords[start:stop] @ coords[start:].T >= t
+        mask &= np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
         u, v = np.nonzero(mask)
-        edges.append(np.column_stack([u + start, v]))
+        edges.append(np.column_stack([u + start, v + start]))
     return np.concatenate(edges, axis=0)
 
 
-def _sparse_bernoulli_edges(n: int, p: float, gen: np.random.Generator) -> np.ndarray:
-    """Bernoulli(p) subset of the C(n,2) pair slots via geometric skipping;
-    exactly the G(n, p) law without touching all pairs."""
-    total = n * (n - 1) // 2
+def _dense_er(n: int, p: float, gen: np.random.Generator) -> Graph:
+    """G(n, p) from an n x n uniform mask, kept as the dense store."""
+    check_dense(n, 8, "G(n, p)")
+    adj = np.triu(gen.random((n, n)) < p, 1)
+    adj |= adj.T
+    return Graph._trusted(adj)
+
+
+def _skip_er(n: int, p: float, gen: np.random.Generator) -> Graph:
+    """G(n, p) by geometric skipping over the C(n, 2) pair slots, kept as
+    the edge store."""
+    pairs = _linear_to_pair(_bernoulli_positions(n * (n - 1) // 2, p, gen), n)
+    return Graph._from_sorted_edges(n, pairs)
+
+
+def _bernoulli_positions(total: int, p: float, gen: np.random.Generator) -> np.ndarray:
+    """Ascending Bernoulli(p) subset of range(total) via geometric skipping;
+    exactly i.i.d. inclusions without touching every slot."""
     if p == 0.0 or total == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     if p == 1.0:
-        u, v = np.triu_indices(n, 1)
-        return np.column_stack([u, v])
+        return np.arange(total, dtype=np.int64)
     mean = total * p
     positions = np.empty(0, dtype=np.int64)
     last = -1
@@ -471,8 +489,14 @@ def _sparse_bernoulli_edges(n: int, p: float, gen: np.random.Generator) -> np.nd
         last = int(positions[-1])
         if last >= total - 1:
             break
-    positions = positions[positions < total]
-    return _linear_to_pair(positions, n)
+    return positions[positions < total]
+
+
+def _csr_matrix(g: Graph) -> _sparse.csr_matrix:
+    """The adjacency matrix as a scipy CSR matrix over the graph's rows."""
+    indptr, indices = g.csr()
+    return _sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                              shape=(g.n, g.n))
 
 
 def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:

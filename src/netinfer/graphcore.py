@@ -1,5 +1,10 @@
 """Graph containers, reproducible random streams, and edge-list text I/O.
 
+A graph is stored either as a dense boolean matrix or as its sorted edge
+list; prefers_dense is the rule that picks one from the expected edge
+count, and check_dense refuses any n x n array past DENSE_BYTES_LIMIT.
+A tree is stored as its parent array.
+
 Vertices are 0-indexed in memory and 1-indexed in files; the parser and
 serializer are the only places where the shift happens.
 """
@@ -54,16 +59,48 @@ class RngStream:
         return RngStream(self.seed, self.stream + index)
 
 
-class Graph:
-    """Undirected simple graph with a dense boolean adjacency matrix.
+# An n x n array is allocated only when it fits in this many bytes; past it
+# the caller gets DenseSizeError at once instead of an out-of-memory kill.
+DENSE_BYTES_LIMIT = 1 << 30
 
-    The matrix is symmetric with a zero diagonal and is frozen after
-    construction.  Dense storage is deliberate: the workloads are
-    triangle-statistic heavy at desk scale (n up to a few thousand),
-    where whole-matrix products beat adjacency lists.
+# A sampler builds the dense store (n^2 bytes) only when it costs at most this
+# many bytes per expected edge.  The edge store costs 16 B/edge, and 16 more
+# once the compressed sparse rows are built.
+DENSE_BYTES_PER_EDGE = 64
+
+
+class DenseSizeError(ValueError):
+    """An n x n array would pass DENSE_BYTES_LIMIT."""
+
+
+def check_dense(n: int, itemsize: int, what: str) -> None:
+    """Raise DenseSizeError before `what` allocates an n x n array of
+    `itemsize`-byte cells larger than DENSE_BYTES_LIMIT."""
+    nbytes = n * n * itemsize
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise DenseSizeError(
+            f"{what} needs a dense {n} x {n} array of {nbytes / 2**30:.1f} GiB, "
+            f"above the {DENSE_BYTES_LIMIT / 2**30:g} GiB limit")
+
+
+def prefers_dense(n: int, expected_edges: float) -> bool:
+    """The store rule: a matrix when n^2 bytes cost at most
+    DENSE_BYTES_PER_EDGE per expected edge, an edge list otherwise."""
+    return n * n <= DENSE_BYTES_PER_EDGE * expected_edges
+
+
+class Graph:
+    """Undirected simple graph in one of two stores, frozen after construction.
+
+    A dense graph holds its symmetric, zero-diagonal boolean matrix ``adj``;
+    the dense samplers build these at desk scale, where whole-matrix
+    products beat adjacency lists.  An edge-built graph holds only its
+    sorted (m, 2) edge array and ``adj`` is None; compressed sparse rows
+    are built from the edges on first use, so its memory and time grow
+    with the number of edges.  ``to_dense()`` gives the matrix of either.
     """
 
-    __slots__ = ("adj", "m", "_edges")
+    __slots__ = ("adj", "m", "_n", "_edges", "_csr")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj)
@@ -75,69 +112,117 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
-        self._freeze(adj, int(np.count_nonzero(adj)) // 2, None)
+        self._freeze(adj.shape[0], adj, int(np.count_nonzero(adj)) // 2, None)
 
-    def _freeze(self, adj: np.ndarray, m: int, edges) -> None:
-        adj.setflags(write=False)
+    def _freeze(self, n: int, adj: np.ndarray | None, m: int, edges) -> None:
+        for arr in (adj, edges):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(self, "_n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
-    def _trusted(cls, adj: np.ndarray, edges: np.ndarray | None = None) -> "Graph":
+    def _trusted(cls, adj: np.ndarray) -> "Graph":
         """Wrap an adjacency already known to be boolean, symmetric, and
         zero-diagonal (samplers build these by construction)."""
         g = cls.__new__(cls)
-        g._freeze(adj, int(np.count_nonzero(adj)) // 2, edges)
+        g._freeze(adj.shape[0], adj, int(np.count_nonzero(adj)) // 2, None)
+        return g
+
+    @classmethod
+    def _from_sorted_edges(cls, n: int, edges: np.ndarray) -> "Graph":
+        """Wrap an int64 (m, 2) edge array already known to be valid, with
+        u < v in every row and rows lexicographically sorted."""
+        g = cls.__new__(cls)
+        g._freeze(n, None, edges.shape[0], edges)
         return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build from 0-indexed (u, v) pairs without revalidating the matrix."""
-        g = cls.__new__(cls)
-        adj = np.zeros((n, n), dtype=bool)
-        edge_arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        """Edge-built graph from 0-indexed (u, v) pairs in any order."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        u, v = edge_arr[:, 0], edge_arr[:, 1]
         if edge_arr.size:
-            u, v = edge_arr[:, 0], edge_arr[:, 1]
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
-            if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n:
+            if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
                 raise ValueError("edge endpoint out of range")
-            adj[u, v] = True
-            adj[v, u] = True
-        m = int(np.count_nonzero(adj)) // 2
-        if m != edge_arr.shape[0]:
+        sorted_edges = _sorted_pairs(n, np.minimum(u, v), np.maximum(u, v))
+        if (np.diff(sorted_edges, axis=0) == 0).all(axis=1).any():
             raise ValueError("duplicate edges are not allowed")
-        lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-        hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-        order = np.lexsort((hi, lo))
-        g._freeze(adj, m, np.column_stack((lo, hi))[order])
-        return g
+        return Graph._from_sorted_edges(n, sorted_edges)
 
     @property
     def n(self) -> int:
-        return self.adj.shape[0]
+        return self._n
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return int(np.count_nonzero(self.adj[v]))
+        if self.adj is not None:
+            return int(np.count_nonzero(self.adj[v]))
+        indptr, _ = self.csr()
+        return int(indptr[v + 1] - indptr[v])
 
     def degrees(self) -> np.ndarray:
-        return np.count_nonzero(self.adj, axis=1)
+        if self.adj is not None:
+            return np.count_nonzero(self.adj, axis=1)
+        return np.diff(self.csr()[0])
 
     def neighbors(self, v: int) -> np.ndarray:
+        """Neighbours of v in ascending order."""
         self._check_vertex(v)
-        return np.nonzero(self.adj[v])[0]
+        if self.adj is not None:
+            return np.nonzero(self.adj[v])[0]
+        indptr, indices = self.csr()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
         if self._edges is None:
             u, v = np.nonzero(np.triu(self.adj, 1))
-            object.__setattr__(self, "_edges", np.column_stack((u, v)))
+            edges = np.column_stack((u, v))
+            edges.setflags(write=False)
+            object.__setattr__(self, "_edges", edges)
         return self._edges
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Compressed sparse rows (indptr, indices), built on first use: the
+        neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]]."""
+        if self._csr is None:
+            e = self.edges()
+            # lower neighbours of each row first, each half already ascending
+            rows = np.concatenate((e[:, 1], e[:, 0]))
+            cols = np.concatenate((e[:, 0], e[:, 1]))
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+            indices = cols[np.argsort(rows, kind="stable")]
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            object.__setattr__(self, "_csr", (indptr, indices))
+        return self._csr
+
+    def to_dense(self) -> np.ndarray:
+        """The read-only n x n boolean adjacency matrix.  An edge-built
+        graph allocates a new one on every call, after check_dense."""
+        if self.adj is not None:
+            return self.adj
+        check_dense(self.n, 1, "the adjacency matrix")
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        e = self.edges()
+        adj[e[:, 0], e[:, 1]] = True
+        adj[e[:, 1], e[:, 0]] = True
+        adj.setflags(write=False)
+        return adj
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -148,68 +233,116 @@ class Graph:
 
 
 class Tree(Graph):
-    """Connected acyclic Graph; optionally carries the growth parent array."""
+    """Tree stored as its parent array, rooted at vertex 0.
+
+    parent[0] == -1 and parent[v] is the neighbour of v on its path to 0.
+    Attachment trees number vertices in arrival order, so there
+    parent[v] < v.  The edge list and sparse rows are derived on first
+    use; a tree holds no matrix.
+    """
 
     __slots__ = ("parent",)
 
-    def __init__(self, adj: np.ndarray, parent: np.ndarray | None = None):
-        super().__init__(adj)
-        self._init_tree(parent)
-
-    def _init_tree(self, parent: np.ndarray | None) -> None:
-        if self.m != self.n - 1:
-            raise ValueError(f"tree needs m == n-1, got m={self.m}, n={self.n}")
-        order, _ = bfs_order(self, 0)
-        if len(order) != self.n:
-            raise ValueError("tree must be connected")
-        object.__setattr__(self, "parent", parent)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   parent: np.ndarray | None = None) -> "Tree":
-        g = Graph.from_edges(n, edges)
-        t = cls.__new__(cls)
-        t._freeze(g.adj, g.m, g._edges)
-        t._init_tree(parent)
-        return t
-
-    @classmethod
-    def from_parents(cls, parent: Sequence[int]) -> "Tree":
-        """Tree from parent[i] for i >= 1; vertex 0 is the growth root."""
-        parent = np.asarray(parent, dtype=np.int64)
+    def __init__(self, parent: Sequence[int]):
+        """Tree from parent[i] for i >= 1 with parent[i] < i; vertex 0 is
+        the growth root."""
+        parent = np.array(parent, dtype=np.int64)
         n = len(parent)
         if n == 0 or parent[0] != -1:
             raise ValueError("parent[0] must be -1 (root marker)")
         if n > 1 and not ((parent[1:] >= 0) & (parent[1:] < np.arange(1, n))).all():
             raise ValueError("parent[i] must be an earlier vertex")
-        return cls.from_edges(n, [(int(parent[i]), i) for i in range(1, n)],
-                              parent=parent)
+        self._set_parent(parent)
+
+    def _set_parent(self, parent: np.ndarray) -> None:
+        self._freeze(len(parent), None, len(parent) - 1, None)
+        parent.setflags(write=False)
+        object.__setattr__(self, "parent", parent)
+
+    @classmethod
+    def _trusted_parents(cls, parent: np.ndarray) -> "Tree":
+        """Wrap an int64 parent array already known to define a tree rooted
+        at 0."""
+        t = cls.__new__(cls)
+        t._set_parent(parent)
+        return t
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":
+        """Tree from 0-indexed (u, v) pairs; one breadth-first pass from
+        vertex 0 gives the parent array."""
+        g = Graph.from_edges(n, edges)
+        if g.m != n - 1:
+            raise ValueError(f"tree needs m == n-1, got m={g.m}, n={n}")
+        order, parent = bfs_order(g, 0)
+        if len(order) != n:
+            raise ValueError("tree must be connected")
+        t = cls._trusted_parents(parent)
+        object.__setattr__(t, "_edges", g._edges)
+        object.__setattr__(t, "_csr", g._csr)
+        return t
+
+    @classmethod
+    def from_parents(cls, parent: Sequence[int]) -> "Tree":
+        """Tree from parent[i] for i >= 1; vertex 0 is the growth root."""
+        return cls(parent)
+
+    def degree(self, v: int) -> int:
+        self._check_vertex(v)
+        return int(np.count_nonzero(self.parent == v)) + (v != 0)
+
+    def degrees(self) -> np.ndarray:
+        deg = np.bincount(self.parent[1:], minlength=self.n)
+        deg[1:] += 1
+        return deg
+
+    def edges(self) -> np.ndarray:
+        if self._edges is None:
+            child = np.arange(1, self.n)
+            up = self.parent[1:]
+            edges = _sorted_pairs(self.n, np.minimum(up, child),
+                                  np.maximum(up, child))
+            edges.setflags(write=False)
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
+
+
+def _sorted_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(m, 2) int64 array of the pairs (lo, hi), lo < hi < n, in
+    lexicographic order."""
+    key = np.sort(lo.astype(np.int64) * n + hi)
+    return np.column_stack((key // n, key % n))
 
 
 def bfs_order(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first order and parent array of the component containing root.
 
-    parent[root] == -1; vertices outside the component keep parent -2.
+    Neighbours join in ascending id order.  parent[root] == -1; vertices
+    outside the component keep parent -2.
     """
     g._check_vertex(root)
-    n = g.n
-    parent = np.full(n, -2, dtype=np.int64)
+    indptr, indices = g.csr()
+    parent = np.full(g.n, -2, dtype=np.int64)
     parent[root] = -1
-    order = np.empty(n, dtype=np.int64)
-    order[0] = root
-    seen = np.zeros(n, dtype=bool)
-    seen[root] = True
-    head, tail = 0, 1
-    while head < tail:
-        v = order[head]
-        head += 1
-        nbrs = np.nonzero(g.adj[v] & ~seen)[0]
-        if nbrs.size:
-            seen[nbrs] = True
-            parent[nbrs] = v
-            order[tail:tail + nbrs.size] = nbrs
-            tail += nbrs.size
-    return order[:tail].copy(), parent
+    levels = [np.array([root], dtype=np.int64)]
+    while True:
+        frontier = levels[-1]
+        starts = indptr[frontier]
+        lens = indptr[frontier + 1] - starts
+        # the frontier's neighbour lists, concatenated in frontier order
+        offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        nbrs = indices[offsets + np.arange(offsets.size)]
+        src = np.repeat(frontier, lens)
+        fresh = parent[nbrs] == -2
+        nbrs, src = nbrs[fresh], src[fresh]
+        if nbrs.size == 0:
+            break
+        # a vertex reached from several frontier vertices joins from the first
+        _, first = np.unique(nbrs, return_index=True)
+        first.sort()
+        parent[nbrs[first]] = src[first]
+        levels.append(nbrs[first])
+    return np.concatenate(levels), parent
 
 
 def components_after_removal(t: Tree, v: int) -> list[int]:
@@ -221,7 +354,7 @@ def components_after_removal(t: Tree, v: int) -> list[int]:
     sizes = []
     seen = np.zeros(n, dtype=bool)
     seen[v] = True
-    for start in np.nonzero(t.adj[v])[0]:
+    for start in t.neighbors(v):
         if seen[start]:
             continue
         stack = [int(start)]
@@ -230,7 +363,8 @@ def components_after_removal(t: Tree, v: int) -> list[int]:
         while stack:
             u = stack.pop()
             count += 1
-            for w in np.nonzero(t.adj[u] & ~seen)[0]:
+            nbrs = t.neighbors(u)
+            for w in nbrs[~seen[nbrs]]:
                 seen[w] = True
                 stack.append(int(w))
         sizes.append(count)
@@ -285,7 +419,3 @@ def serialize_edge_list(g: Graph) -> str:
         out.append(f"{u + 1} {v + 1}")
     return "\n".join(out) + "\n"
 
-
-def degree(g: Graph, v: int) -> int:
-    """Number of neighbors of v."""
-    return g.degree(v)

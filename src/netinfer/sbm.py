@@ -18,6 +18,7 @@ import numpy as np
 from scipy.stats import binom as _binom
 from scipy.stats import poisson as _poisson
 
+from .geom import _bernoulli_positions, _csr_matrix, _linear_to_pair
 from .graphcore import Graph, RngStream
 
 REGIMES = ("constant", "logarithmic", "linear")
@@ -134,22 +135,25 @@ class SolvabilityResult:
 
 
 def sample_sbm(n: int, params: SbmParams, rng: RngStream) -> LabeledGraph:
-    """Draw labels i.i.d. from the prior and edges as independent Bernoullis."""
+    """Draw labels i.i.d. from the prior and edges as independent Bernoullis.
+
+    Each block pair's vertex pairs are sampled by geometric skipping, so
+    the cost grows with the number of edges, not with n^2.
+    """
     probs = params.edge_probabilities(n)
     gen = rng.generator()
     labels = gen.choice(params.k, size=n, p=params.p)
-    adj = np.zeros((n, n), dtype=bool)
-    chunk = max(1, int(4_000_000 // max(n, 1)))
-    cols = np.arange(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block_probs = probs[np.ix_(labels[start:stop], labels)]
-        block = gen.random((stop - start, n)) < block_probs
-        # keep the strict upper triangle of the full matrix only
-        block &= cols[None, :] > np.arange(start, stop)[:, None]
-        adj[start:stop] = block
-    adj |= adj.T
-    return LabeledGraph(graph=Graph._trusted(adj), labels=labels)
+    members = [np.nonzero(labels == a)[0] for a in range(params.k)]
+    parts = []
+    for a, ma in enumerate(members):
+        pos = _bernoulli_positions(ma.size * (ma.size - 1) // 2, probs[a, a], gen)
+        parts.append(ma[_linear_to_pair(pos, ma.size)])
+        for b in range(a + 1, params.k):
+            mb = members[b]
+            pos = _bernoulli_positions(ma.size * mb.size, probs[a, b], gen)
+            parts.append(np.column_stack((ma[pos // mb.size], mb[pos % mb.size])))
+    return LabeledGraph(graph=Graph.from_edges(n, np.concatenate(parts)),
+                        labels=labels)
 
 
 def community_profiles(params: SbmParams) -> list[np.ndarray]:
@@ -285,7 +289,7 @@ def degree_profile(lg: LabeledGraph, v: int, k: int | None = None) -> np.ndarray
     lg.graph._check_vertex(v)
     if k is None:
         k = int(lg.labels.max()) + 1 if lg.labels.size else 1
-    return np.bincount(lg.labels[lg.graph.adj[v]], minlength=k)
+    return np.bincount(lg.labels[lg.graph.neighbors(v)], minlength=k)
 
 
 def map_classify(d, means, prior) -> int:
@@ -431,7 +435,7 @@ def genie_recover(lg: LabeledGraph, params: SbmParams, corruption: float,
         offset = gen.integers(1, k, size=n)
         labels[flip] = (labels[flip] + offset[flip]) % k
     L = math.log(n) * np.column_stack(community_profiles(params)).T
-    adj = lg.graph.adj.astype(np.float64)
+    adj = _csr_matrix(lg.graph)
     for _ in range(rounds):
         onehot = np.zeros((n, k), dtype=np.float64)
         onehot[np.arange(n), labels] = 1.0

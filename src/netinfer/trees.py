@@ -138,20 +138,17 @@ def grow(model: str, n: int, rng: RngStream, seed: Tree | None = None) -> Record
         raise ValueError("preferential attachment needs a seed with at least two vertices")
     if n < seed.n:
         raise ValueError("n must be at least the seed size")
-    new_parents = _grow_parents(model, n, seed, rng)
-    edges = [(int(u), int(v)) for u, v in seed.edges()]
-    edges.extend((int(p), i) for i, p in zip(range(seed.n, n), new_parents))
-    parent = None
-    if seed.parent is not None:
-        parent = np.concatenate([np.asarray(seed.parent, dtype=np.int64), new_parents])
-    tree = Tree.from_edges(n, edges, parent=parent)
-    return RecordedTree(tree=tree, arrival=np.arange(n), model=model, seed_size=seed.n)
+    parent = np.concatenate([seed.parent, _grow_parents(model, n, seed, rng)])
+    return RecordedTree(tree=Tree._trusted_parents(parent), arrival=np.arange(n),
+                        model=model, seed_size=seed.n)
 
 
 def relabel_uniform(rt: RecordedTree, rng: RngStream) -> tuple[Tree, int]:
     """Uniformly random relabeling of the tree; returns it with the new id
     of the chronologically first vertex (kept aside for scoring only)."""
-    relabeled, perm = _relabel(rt.tree, rng)
+    t = rt.tree
+    perm = rng.generator().permutation(t.n)
+    relabeled = t if t.n == 1 else Tree.from_edges(t.n, perm[t.edges()])
     return relabeled, int(perm[rt.arrival[0]])
 
 
@@ -162,21 +159,19 @@ def psi(t: Tree, v: int) -> int:
 
 
 def branch_weights(t: Tree) -> np.ndarray:
-    """psi for every vertex in one pass.
+    """psi for every vertex in one pass over the parent array.
 
-    Rooting anywhere, the components left by deleting v are its child
-    subtrees plus everything above, so psi(v) is the larger of the biggest
-    child subtree and n - subtree(v).
+    Rooted at 0, the components left by deleting v are its child subtrees
+    plus everything above, so psi(v) is the larger of the biggest child
+    subtree and n - subtree(v).
     """
     n = t.n
     if n == 1:
         return np.zeros(1, dtype=np.int64)
-    order, parent = bfs_order(t, 0)
-    sub = np.ones(n, dtype=np.int64)
-    for v in order[:0:-1]:
-        sub[parent[v]] += sub[v]
+    parent = t.parent
+    sub = _subtree_sizes(parent)
     child_max = np.zeros(n, dtype=np.int64)
-    np.maximum.at(child_max, parent[order[1:]], sub[order[1:]])
+    np.maximum.at(child_max, parent[1:], sub[1:])
     weights = np.maximum(child_max, n - sub)
     weights[0] = child_max[0]
     return weights
@@ -295,15 +290,21 @@ def root_finding_success(model: str, n: int, K: int, replicas: int,
         raise ValueError("replicas must be positive")
     if scoring not in ("root", "either_endpoint"):
         raise ValueError(f"unknown scoring mode: {scoring!r}")
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     hits = 0
     for i in range(replicas):
         rt = grow(model, n, rng.substream(i), seed=seed)
         if scoring == "either_endpoint" and rt.seed_size < 2:
             raise ValueError("either_endpoint scoring needs a seed edge")
-        relabeled, perm = _relabel(rt.tree, rng.substream(replicas + i))
-        conf = root_confidence_set(relabeled, K, epsilon=epsilon)
+        # vertex v carries label perm[v] in the relabeled tree, so ranking
+        # by (branch weight, label) here picks that tree's confidence set
+        perm = rng.substream(replicas + i).generator().permutation(n)
+        picked = np.lexsort((perm, branch_weights(rt.tree)))[:K]
         targets = rt.arrival[:1] if scoring == "root" else rt.arrival[:2]
-        if any(int(perm[v]) in conf.vertices for v in targets):
+        if np.isin(targets, picked).any():
             hits += 1
     rate = hits / replicas
     se = math.sqrt(rate * (1.0 - rate) / replicas)
@@ -345,15 +346,6 @@ def _rooted_signature(t: Tree, root: int) -> str:
     return sig[root]
 
 
-def _relabel(t: Tree, rng: RngStream) -> tuple[Tree, np.ndarray]:
-    perm = rng.generator().permutation(t.n)
-    if t.n == 1:
-        return t, perm
-    mapped = perm[t.edges()]
-    relabeled = Tree.from_edges(t.n, [(int(u), int(v)) for u, v in mapped])
-    return relabeled, perm
-
-
 def _grow_parents(model: str, n: int, seed: Tree, rng: RngStream) -> np.ndarray:
     """Attachment targets for vertices seed.n .. n-1, in arrival order."""
     gen = rng.generator()
@@ -363,21 +355,56 @@ def _grow_parents(model: str, n: int, seed: Tree, rng: RngStream) -> np.ndarray:
     if model == "ua":
         return gen.integers(0, np.arange(n0, n))
     # pa: flat list of edge endpoints; each edge holds two slots, so a
-    # uniform slot is a degree-biased vertex
-    us = gen.random(n - n0)
-    slots = np.empty(2 * (n - 1), dtype=np.int64)
-    seed_edges = seed.edges()
-    fill = 2 * (n0 - 1)
-    slots[0:fill:2] = seed_edges[:, 0]
-    slots[1:fill:2] = seed_edges[:, 1]
-    parents = np.empty(n - n0, dtype=np.int64)
-    for t_idx in range(n - n0):
-        p = int(slots[int(us[t_idx] * fill)])
-        parents[t_idx] = p
-        slots[fill] = p
-        slots[fill + 1] = n0 + t_idx
-        fill += 2
+    # uniform slot is a degree-biased vertex.  Step t draws slot
+    # s_t = floor(u_t * (fill0 + 2t)).  The seed edges fill the first fill0
+    # slots as (lo, hi) pairs; step t' then appends parents[t'] and
+    # n0 + t'.  An even slot past the seed refers to an earlier step, and
+    # pointer jumping resolves those chains in O(log length) rounds.
+    steps = n - n0
+    fill0 = 2 * (n0 - 1)
+    slot = (gen.random(steps) * (fill0 + 2 * np.arange(steps))).astype(np.int64)
+    parents = np.empty(steps, dtype=np.int64)
+    from_seed = slot < fill0
+    parents[from_seed] = seed.edges().ravel()[slot[from_seed]]
+    later = slot[~from_seed] - fill0
+    t_new = np.nonzero(~from_seed)[0]
+    odd = later % 2 == 1
+    parents[t_new[odd]] = n0 + later[odd] // 2
+    link = np.arange(steps)  # an unresolved step copies the parent of link[t]
+    pending = t_new[~odd]
+    link[pending] = later[~odd] // 2
+    known = np.ones(steps, dtype=bool)
+    known[pending] = False
+    while pending.size:
+        target = link[pending]
+        done = known[target]
+        parents[pending[done]] = parents[target[done]]
+        known[pending[done]] = True
+        pending = pending[~done]
+        link[pending] = link[target[~done]]
     return parents
+
+
+def _subtree_sizes(parent: np.ndarray) -> np.ndarray:
+    """Subtree sizes of the tree with this parent array, rooted at 0.
+
+    Depths come from pointer jumping; the sizes then add up level by level
+    from the deepest, so the pass costs O(n log n) plus one numpy call per
+    level.
+    """
+    n = parent.size
+    up = np.where(parent >= 0, parent, 0)
+    depth = (parent >= 0).astype(np.int64)  # distance from v to up[v]
+    while (up != 0).any():
+        depth = depth + depth[up]
+        up = up[up]
+    order = np.argsort(depth, kind="stable")
+    ends = np.cumsum(np.bincount(depth))
+    sub = np.ones(n, dtype=np.int64)
+    for d in range(len(ends) - 1, 0, -1):
+        level = order[ends[d - 1]:ends[d]]
+        np.add.at(sub, parent[level], sub[level])
+    return sub
 
 
 def _norm_model(model: str) -> str:

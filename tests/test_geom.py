@@ -26,9 +26,11 @@ from netinfer.geom import (
     triangle_count,
     triangle_moments_er,
     _bartlett,
+    _dense_er,
     _draw_entries,
     _linear_to_pair,
     _rgg_circle,
+    _skip_er,
 )
 from netinfer.graphcore import Graph, RngStream, Tree
 from netinfer.harness import ks_distance, ks_distance_cdf
@@ -176,7 +178,7 @@ def test_rgg_near_one_p_is_nearly_complete():
 
 def test_rgg_circle_path_matches_dense_rule():
     pts = sample_sphere(4200, 2, RngStream(11, 0))
-    g = rgg_from_points(pts, 0.3)  # n > 4096, d = 2: interval windows
+    g = rgg_from_points(pts, 0.3)  # 2.6e6 expected edges: dense Gram path
     t = threshold(0.3, 2)
     gram = pts.coords @ pts.coords.T
     adj = np.triu(gram >= t, 1)
@@ -189,7 +191,7 @@ def test_rgg_circle_helper_direct():
     g = _rgg_circle(pts.coords, t)
     gram = pts.coords @ pts.coords.T
     adj = np.triu(gram >= t, 1)
-    assert (g.adj == (adj | adj.T)).all()
+    assert (g.to_dense() == (adj | adj.T)).all()
 
 
 def test_linear_to_pair_exhaustive():
@@ -240,8 +242,8 @@ def test_triangle_count_three_routes_agree():
 
 
 def test_triangle_count_sparse_path_matches_dense_product():
-    g = sample_er(2100, 0.003, RngStream(13, 0))  # n > 2048: sparse route
-    a = g.adj.astype(np.float64)
+    g = sample_er(2100, 0.003, RngStream(13, 0))  # ~6600 edges: sparse route
+    a = g.to_dense().astype(np.float64)
     dense = int(round(((a @ a) * a).sum() / 6.0))
     assert triangle_count(g) == dense
 
@@ -469,6 +471,32 @@ def test_rgg_path_follows_dimension(n, d, bartlett):
         X = sample_sphere(n, d, s).coords
     adj = np.triu(X @ X.T >= threshold(0.4, d), 1)
     assert (sample_rgg(n, 0.4, d, s).adj == (adj | adj.T)).all()
+
+
+@pytest.mark.parametrize("n,p,reps", [(40, 0.3, _R), (300, 0.01, 1000),
+                                      (1200, 3e-3, 200)])
+def test_skip_er_matches_dense_mask_law(n, p, reps):
+    """The skip-sampled and dense-mask G(n, p) have the same edge and
+    triangle count laws, each path on its own substreams."""
+    base = RngStream(44, n)
+    crit = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2.0 / reps)
+    arms = []
+    for k, draw in enumerate((_dense_er, _skip_er)):
+        graphs = [draw(n, p, base.substream(k * reps + i).generator())
+                  for i in range(reps)]
+        assert all((g.adj is not None) == (draw is _dense_er) for g in graphs)
+        arms.append(np.array([(g.m, triangle_count(g)) for g in graphs]))
+    for col in range(2):
+        assert ks_distance(arms[0][:, col], arms[1][:, col]) < crit, col
+
+
+def test_store_follows_expected_edge_count():
+    # dense iff n^2 <= 64 bytes per expected edge
+    assert sample_er(30, 0.3, RngStream(45)).adj is not None
+    assert sample_er(3000, 4 / 3000, RngStream(45)).adj is None
+    assert sample_rgg(64, 0.5, 64, RngStream(45)).adj is not None
+    assert sample_rgg(3000, 4 / 3000, 2, RngStream(45)).adj is None
+    assert sample_rgg(3000, 4 / 3000, 512, RngStream(45)).adj is None
 
 
 # ---------------------------------------------------------------- h map

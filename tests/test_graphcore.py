@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from netinfer.graphcore import (
+    DENSE_BYTES_LIMIT,
+    DenseSizeError,
     Graph,
     ParseError,
     RngStream,
     Tree,
     bfs_order,
     components_after_removal,
-    degree,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -21,20 +23,20 @@ from netinfer.graphcore import (
 def test_parse_triangle():
     g = parse_edge_list("3 3\n1 2\n1 3\n2 3\n")
     assert g.n == 3 and g.m == 3
-    assert g.adj.all() == False or True  # noqa: E712 - checked below
+    assert g.to_dense().all() == False or True  # noqa: E712 - checked below
     expect = ~np.eye(3, dtype=bool)
-    assert (g.adj == expect).all()
+    assert (g.to_dense() == expect).all()
 
 
 def test_parse_empty_graph():
     g = parse_edge_list("2 0\n")
     assert g.n == 2 and g.m == 0
-    assert not g.adj.any()
+    assert not g.to_dense().any()
 
 
 def test_parse_tolerates_blank_lines_and_no_trailing_newline():
     g = parse_edge_list("3 1\n\n1 3")
-    assert g.m == 1 and g.adj[0, 2]
+    assert g.m == 1 and g.to_dense()[0, 2]
 
 
 @pytest.mark.parametrize(
@@ -77,7 +79,7 @@ def test_serialize_round_trip_random():
         g = _random_graph(rng, int(rng.integers(1, 30)))
         h = parse_edge_list(serialize_edge_list(g))
         assert h.n == g.n
-        assert (h.adj == g.adj).all()
+        assert (h.to_dense() == g.adj).all()
 
 
 # ---------------------------------------------------------------- Graph
@@ -86,7 +88,7 @@ def test_serialize_round_trip_random():
 def test_from_edges_basic_accessors():
     g = Graph.from_edges(4, [(2, 0), (3, 2)])
     assert g.n == 4 and g.m == 2
-    assert g.degree(2) == 2 and degree(g, 2) == 2
+    assert g.degree(2) == 2
     assert list(g.degrees()) == [1, 0, 2, 1]
     assert list(g.neighbors(2)) == [0, 3]
     # edges come back lexicographically sorted with u < v
@@ -123,7 +125,7 @@ def test_graph_is_immutable():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(AttributeError, match="Graph is immutable"):
         g.m = 7
-    assert not g.adj.flags.writeable
+    assert not g.to_dense().flags.writeable
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -148,7 +150,7 @@ def test_round_trip_preserves_edges(case):
     g = Graph.from_edges(n, edges)
     assert [tuple(e) for e in g.edges()] == edges
     h = parse_edge_list(serialize_edge_list(g))
-    assert (h.adj == g.adj).all()
+    assert (h.to_dense() == g.to_dense()).all()
 
 
 # ---------------------------------------------------------------- Tree
@@ -229,6 +231,55 @@ def test_bfs_order_marks_unreachable():
     assert order.tolist() == [0, 1]
     assert parent[0] == -1 and parent[1] == 0
     assert parent[2] == -2 and parent[3] == -2
+
+
+@given(_edge_sets(), st.integers(min_value=0, max_value=11))
+@settings(max_examples=80, derandomize=True)
+def test_bfs_order_matches_dense_queue(case, root):
+    n, edges = case
+    root %= n
+    expect = oracles.dense_bfs(oracles.dense_adj(n, edges), root)
+    for g in (Graph.from_edges(n, edges), Graph(oracles.dense_adj(n, edges))):
+        order, parent = bfs_order(g, root)
+        np.testing.assert_array_equal(order, expect[0])
+        np.testing.assert_array_equal(parent, expect[1])
+
+
+# ---------------------------------------------------------------- stores
+
+
+def test_edge_store_holds_no_matrix():
+    g = Graph.from_edges(4, [(3, 1), (0, 2), (1, 2)])
+    assert g.adj is None
+    indptr, indices = g.csr()
+    assert indptr.tolist() == [0, 1, 3, 5, 6]
+    assert indices.tolist() == [2, 2, 3, 0, 1, 1]
+    dense = Graph(g.to_dense())
+    assert dense.adj is not None
+    for v in range(4):
+        assert g.neighbors(v).tolist() == dense.neighbors(v).tolist()
+        assert g.degree(v) == dense.degree(v)
+    assert (dense.csr()[1] == indices).all()
+
+
+def test_tree_is_its_parent_array():
+    t = Tree.from_parents([-1, 0, 0, 2, 2])
+    assert t.adj is None
+    assert t.degrees().tolist() == [2, 1, 3, 1, 1]
+    assert t.edges().tolist() == [[0, 1], [0, 2], [2, 3], [2, 4]]
+    u = Tree.from_edges(5, [(2, 4), (3, 2), (0, 2), (1, 0)])
+    assert u.parent.tolist() == [-1, 0, 0, 2, 2]
+    assert not t.parent.flags.writeable
+
+
+def test_huge_edge_store_needs_no_dense_allocation():
+    g = Graph.from_edges(10**6, [(0, 1)])
+    degs = g.degrees()
+    assert degs.shape == (10**6,) and degs[:3].tolist() == [1, 1, 0]
+    assert bfs_order(g, 1)[0].tolist() == [1, 0]
+    with pytest.raises(DenseSizeError, match="GiB limit"):
+        g.to_dense()
+    assert 10**6 * 10**6 > DENSE_BYTES_LIMIT
 
 
 # ---------------------------------------------------------------- RngStream

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import oracles
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
 from netinfer.graphcore import RngStream
+from netinfer.harness import ks_distance
 from netinfer.sbm import (
     LabeledGraph,
     SbmParams,
@@ -482,7 +484,7 @@ def test_sample_sbm_within_community_density():
     n = 10_000
     params = SbmParams.symmetric(2, 9.0, 1.0)
     lg = sample_sbm(n, params, RngStream(8, 0))
-    adj, labels = lg.graph.adj, lg.labels
+    adj, labels = lg.graph.to_dense(), lg.labels
     same = labels[:, None] == labels[None, :]
     pairs = (np.triu(same, 1)).sum()
     edges = (np.triu(adj & same, 1)).sum()
@@ -493,18 +495,49 @@ def test_sample_sbm_cross_community_density():
     n = 3000
     params = SbmParams.symmetric(2, 9.0, 1.0)
     lg = sample_sbm(n, params, RngStream(9, 0))
-    adj, labels = lg.graph.adj, lg.labels
+    adj, labels = lg.graph.to_dense(), lg.labels
     cross = labels[:, None] != labels[None, :]
     pairs = (np.triu(cross, 1)).sum()
     edges = (np.triu(adj & cross, 1)).sum()
     assert_prop_close(edges / pairs, math.log(n) / n, int(pairs))
 
 
+def _block_edge_counts(adj, labels, k):
+    """Edge counts within each block and between each pair of blocks."""
+    u, v = np.nonzero(np.triu(adj, 1))
+    a, b = np.minimum(labels[u], labels[v]), np.maximum(labels[u], labels[v])
+    return np.bincount(a * k + b, minlength=k * k)[
+        (np.arange(k)[:, None] * k + np.arange(k))[np.triu_indices(k)]]
+
+
+@pytest.mark.parametrize("params,n", [
+    (SbmParams.symmetric(2, 9.0, 1.0), 200),
+    (SbmParams(k=3, p=np.array([0.5, 0.3, 0.2]),
+               Q=np.array([[0.3, 0.05, 1.0], [0.05, 0.2, 0.0], [1.0, 0.0, 0.6]]),
+               regime="constant"), 40),
+])
+def test_block_pair_sampler_matches_dense_law(params, n):
+    """Block-pair skip sampling and one uniform per vertex pair give the
+    same law of every within-block and cross-block edge count."""
+    reps = 2000
+    crit = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2.0 / reps)
+    base = RngStream(17, n)
+    fast, dense = [], []
+    for i in range(reps):
+        lg = sample_sbm(n, params, base.substream(i))
+        fast.append(_block_edge_counts(lg.graph.to_dense(), lg.labels, params.k))
+        adj, labels = oracles.dense_sample_sbm(n, params, base.substream(reps + i))
+        dense.append(_block_edge_counts(adj, labels, params.k))
+    fast, dense = np.array(fast), np.array(dense)
+    for col in range(fast.shape[1]):
+        assert ks_distance(fast[:, col], dense[:, col]) < crit, col
+
+
 def test_sample_sbm_deterministic():
     params = SbmParams.symmetric(2, 9.0, 1.0)
     a = sample_sbm(200, params, RngStream(4, 7))
     b = sample_sbm(200, params, RngStream(4, 7))
-    assert (a.graph.adj == b.graph.adj).all()
+    assert (a.graph.to_dense() == b.graph.to_dense()).all()
     assert (a.labels == b.labels).all()
 
 

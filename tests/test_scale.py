@@ -1,0 +1,59 @@
+"""Scale: trees with n = 10^6 and block models with n = 10^5 run through the
+CLI in a fresh process, in well under a GiB of resident memory.
+
+Each command runs under a small wrapper process, so RUSAGE_CHILDREN sees
+that command alone and not other children of the pytest process.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+_WRAPPER = """
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "netinfer.cli"] + sys.argv[1:],
+                      capture_output=True, text=True)
+print(json.dumps({"code": proc.returncode, "out": proc.stdout,
+                  "err": proc.stderr,
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}))
+"""
+
+_GIB_IN_KIB = 1 << 20
+
+
+@pytest.mark.parametrize("argv,checks", [
+    ("tree root --model ua --n 1000000 --k-set 10 --replicas 1 --seed 5",
+     {"n": 1000000, "K": 10, "replicas": 1}),
+    ("sbm recover --k 2 --a 9 --b 1 --n 100000 --replicas 1 --seed 5",
+     {"rounds": 1, "corruption": 0.1}),
+])
+def test_large_command_stays_under_a_gib(argv, checks):
+    proc = subprocess.run([sys.executable, "-c", _WRAPPER] + argv.split(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["code"] == 0, run["err"]
+    record = json.loads(run["out"])
+    assert record["command"] == " ".join(argv.split()[:2])
+    assert record["seed"] == 5 and record["replicas"] == 1
+    for key, value in checks.items():
+        assert record["result"][key] == value
+    for key in ("success_rate", "mean_accuracy", "exact_rate"):
+        if key in record["result"]:
+            assert 0.0 <= record["result"][key] <= 1.0
+    assert run["maxrss_kib"] < _GIB_IN_KIB, run["maxrss_kib"]
+
+
+def test_dense_guard_exits_one_at_once():
+    """A dense n x n request far past memory is refused before allocation."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "netinfer.cli", "mc", "power", "--pair", "geom",
+         "--stat", "tau", "--n", "200000", "--p", "0.5", "--d", "2",
+         "--replicas", "100", "--seed", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "dense 200000 x 200000 array" in proc.stderr
+    assert "GiB limit" in proc.stderr

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
 from checks import assert_prop_close
-from netinfer.graphcore import RngStream, Tree
+from netinfer.graphcore import RngStream, Tree, parse_edge_list, serialize_edge_list
 from netinfer.harness import ks_distance_cdf
 from netinfer.trees import (
     ConfidenceSet,
@@ -477,3 +478,71 @@ def test_star_path_validation():
     with pytest.raises(ValueError, match="need n >= 1"):
         path(0)
     np.testing.assert_array_equal(path(1).degrees(), [0])
+
+
+# ------------------------------------------- parent arrays vs the dense oracle
+
+_SEEDS = {"default": None, "star:4": star(4), "path:4": path(4)}
+
+
+def _seed_parts(seed):
+    seed = seed if seed is not None else Tree.from_parents([-1, 0])
+    return seed.edges(), seed.n
+
+
+@pytest.mark.parametrize("seed_name", list(_SEEDS))
+@pytest.mark.parametrize("n", [4, 5, 6, 40, 3000])
+def test_pa_pointer_jumping_matches_slot_loop(seed_name, n):
+    seed = _SEEDS[seed_name]
+    edges, n0 = _seed_parts(seed)
+    for r in range(5):
+        rng = RngStream(3100 + n, r)
+        expect = oracles.loop_grow_parents("pa", n, edges, n0, rng)
+        got = grow("pa", n, rng, seed=seed).tree.parent[n0:]
+        np.testing.assert_array_equal(got, expect)
+
+
+def _relabeled_file_tree(tmp_path, rt, r):
+    """A grown tree under a random relabeling, written to and read back
+    from an edge-list file, so parent[v] < v no longer holds."""
+    relabeled, _ = relabel_uniform(rt, RngStream(3300, r))
+    path_ = tmp_path / f"tree{r}.txt"
+    path_.write_text(serialize_edge_list(relabeled))
+    g = parse_edge_list(path_.read_text())
+    return Tree.from_edges(g.n, g.edges())
+
+
+@pytest.mark.parametrize("model", ["ua", "pa"])
+def test_branch_weights_and_max_degree_match_dense_oracle(model, tmp_path):
+    for r, n in enumerate((1, 2, 3, 17, 250)):
+        if model == "pa" and n < 2:
+            continue
+        rt = grow(model, n, RngStream(3200, r))
+        for t in (rt.tree, _relabeled_file_tree(tmp_path, rt, r)):
+            adj = oracles.dense_adj(t.n, t.edges())
+            np.testing.assert_array_equal(branch_weights(t),
+                                          oracles.dense_branch_weights(adj))
+            assert tuple(max_degree(t)) == oracles.dense_max_degree(adj)
+
+
+@pytest.mark.parametrize("model,scoring,K", [("ua", "root", 1), ("ua", "root", 9),
+                                             ("pa", "root", 4),
+                                             ("pa", "either_endpoint", 4)])
+def test_root_finding_success_matches_dense_oracle(model, scoring, K):
+    n, replicas = 60, 40
+    edges, n0 = _seed_parts(None if model == "pa" else Tree.from_parents([-1]))
+    rng = RngStream(3400, K)
+    got = root_finding_success(model, n, K, replicas, rng, scoring=scoring)
+    expect = oracles.dense_root_finding_rate(model, n, K, replicas, rng,
+                                             edges, n0, scoring=scoring)
+    assert got.success_rate == expect
+
+
+def test_root_finding_from_file_seed_matches_dense_oracle(tmp_path):
+    seed = _relabeled_file_tree(tmp_path, grow("pa", 9, RngStream(3500)), 0)
+    rng = RngStream(3501)
+    got = root_finding_success("pa", 50, 5, 40, rng, seed=seed,
+                               scoring="either_endpoint")
+    expect = oracles.dense_root_finding_rate("pa", 50, 5, 40, rng, seed.edges(),
+                                             seed.n, scoring="either_endpoint")
+    assert got.success_rate == expect
