@@ -345,32 +345,6 @@ def bfs_order(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(levels), parent
 
 
-def components_after_removal(t: Tree, v: int) -> list[int]:
-    """Sizes of the components of t - v, largest first; they sum to n - 1."""
-    t._check_vertex(v)
-    n = t.n
-    if n == 1:
-        return []
-    sizes = []
-    seen = np.zeros(n, dtype=bool)
-    seen[v] = True
-    for start in t.neighbors(v):
-        if seen[start]:
-            continue
-        stack = [int(start)]
-        seen[start] = True
-        count = 0
-        while stack:
-            u = stack.pop()
-            count += 1
-            nbrs = t.neighbors(u)
-            for w in nbrs[~seen[nbrs]]:
-                seen[w] = True
-                stack.append(int(w))
-        sizes.append(count)
-    return sorted(sizes, reverse=True)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" + edge-lines text format (1-indexed, u < v)."""
     lines = text.splitlines()

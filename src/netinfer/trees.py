@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphcore import Graph, RngStream, Tree, bfs_order, components_after_removal
+from .graphcore import Graph, RngStream, Tree
 
 __all__ = [
     "RecordedTree",
@@ -24,7 +24,6 @@ __all__ = [
     "RootFindingReport",
     "grow",
     "relabel_uniform",
-    "psi",
     "branch_weights",
     "centroid",
     "root_confidence_set",
@@ -35,7 +34,6 @@ __all__ = [
     "root_finding_success",
     "star",
     "path",
-    "ahu_signature",
 ]
 
 MODELS = ("ua", "pa")
@@ -150,12 +148,6 @@ def relabel_uniform(rt: RecordedTree, rng: RngStream) -> tuple[Tree, int]:
     perm = rng.generator().permutation(t.n)
     relabeled = t if t.n == 1 else Tree.from_edges(t.n, perm[t.edges()])
     return relabeled, int(perm[rt.arrival[0]])
-
-
-def psi(t: Tree, v: int) -> int:
-    """Size of the largest component remaining after deleting v."""
-    sizes = components_after_removal(t, v)
-    return max(sizes) if sizes else 0
 
 
 def branch_weights(t: Tree) -> np.ndarray:
@@ -324,26 +316,6 @@ def path(n: int) -> Tree:
     if n < 1:
         raise ValueError("need n >= 1")
     return Tree.from_parents([-1] + list(range(n - 1)))
-
-
-def ahu_signature(t: Tree) -> str:
-    """Canonical string for the isomorphism class (small-n test utility).
-
-    Rooted signatures are nested parentheses with children sorted; the
-    unrooted code roots at each centroid and keeps the smaller string.
-    """
-    return min(_rooted_signature(t, r) for r in sorted(centroid(t)))
-
-
-def _rooted_signature(t: Tree, root: int) -> str:
-    order, parent = bfs_order(t, root)
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        children[parent[v]].append(int(v))
-    sig = [""] * t.n
-    for v in order[::-1]:
-        sig[v] = "(" + "".join(sorted(sig[c] for c in children[v])) + ")"
-    return sig[root]
 
 
 def _grow_parents(model: str, n: int, seed: Tree, rng: RngStream) -> np.ndarray:

@@ -35,6 +35,12 @@ __all__ = [
 TRIANGULAR_REPLACEMENT = np.array([[2, 0], [1, 1]], dtype=np.int64)
 TRIANGULAR_REPLACEMENT.setflags(write=False)
 
+# urn_run_batch draws its uniforms in blocks of whole steps of about this
+# many bytes (at least one step), so memory does not grow with steps x runs
+_UNIFORM_BLOCK_BYTES = 2 << 20
+# urn_run_batch keeps its counts in float64, exact for integers up to 2^53
+_EXACT_COUNT = 1 << 53
+
 
 @dataclass(frozen=True, eq=False)
 class UrnState:
@@ -192,33 +198,54 @@ def urn_run_batch(initial: UrnState, steps: int, runs: int, rng: RngStream,
     Checkpoints default to [steps].  The whole ensemble consumes a single
     stream (one uniform per run per step, in run order), so results are
     reproducible from (seed, stream) alone but do not match stitching
-    `runs` calls of urn_run together.
+    `runs` calls of urn_run together; with runs = 1 they equal urn_run on
+    the same stream.  Counts must stay below 2^53.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if runs < 1:
         raise ValueError("runs must be positive")
     marks = _checkpoint_indices([steps] if checkpoints is None else checkpoints, steps)
-    gen = rng.generator()
     m = initial.colors
-    counts = np.tile(initial.counts.astype(np.int64), (runs, 1))
-    repl = initial.replacement
-    row_tot = repl.sum(axis=1)
-    totals = np.full(runs, initial.total, dtype=np.int64)
+    most = initial.total + steps * int(initial.replacement.sum(axis=1).max())
+    if most > _EXACT_COUNT:
+        raise ValueError("ball counts could pass 2^53")
+    gen = rng.generator()
+    # cum[j] holds the balls of colors 0..j in each run, so cum[-1] is the
+    # total.  The drawn color c is the first j with u * total < cum[j], as
+    # in urn_run, and the cumulative form of its replacement row is
+    # cr[c] = cr[m-1] + sum_{j >= c} (cr[j] - cr[j+1]).  So with the m - 1
+    # comparisons stacked over a row of ones, one product with step_rule
+    # gives every run's increment of cum.
+    cr = np.cumsum(initial.replacement, axis=1)
+    step_rule = np.empty((m, m))
+    step_rule[:, :-1] = (cr[:-1] - cr[1:]).T
+    step_rule[:, -1] = cr[-1]
+    cum = np.repeat(np.cumsum(initial.counts, dtype=np.float64)[:, None], runs, axis=1)
+    x = np.empty(runs)
+    drawn = np.ones((m, runs))
+    inc = np.empty((m, runs))
     out = np.empty((marks.size, runs, m), dtype=np.int64)
+    # uniforms come in blocks of whole steps, step-major and in run order
+    # within a step: the same stream as one gen.random(runs) per step
+    buf = np.empty((max(1, _UNIFORM_BLOCK_BYTES // (8 * runs)), runs))
     pos = 0
-    if marks.size and marks[0] == 0:
-        out[0] = counts
+    if marks[0] == 0:
+        out[0] = np.diff(cum, axis=0, prepend=0).T
         pos = 1
-    for s in range(1, steps + 1):
-        x = gen.random(runs) * totals
-        cum = np.cumsum(counts, axis=1)
-        chosen = (cum <= x[:, None]).sum(axis=1)
-        counts += repl[chosen]
-        totals += row_tot[chosen]
-        if pos < marks.size and marks[pos] == s:
-            out[pos] = counts
-            pos += 1
+    s = 0
+    while s < steps:
+        k = min(buf.shape[0], steps - s)
+        gen.random(out=buf[:k])
+        for u in buf[:k]:
+            s += 1
+            np.multiply(u, cum[-1], out=x)
+            np.less(x, cum[:-1], out=drawn[:-1])
+            np.matmul(step_rule, drawn, out=inc)
+            cum += inc
+            if pos < marks.size and marks[pos] == s:
+                out[pos] = np.diff(cum, axis=0, prepend=0).T
+                pos += 1
     return out
 
 

@@ -1,13 +1,18 @@
 """Reference implementations on dense adjacency matrices and Python loops.
 
 These are the former library paths, kept as oracles: the edge store, the
-parent-array trees and the block-pair SBM sampler are checked against them
-for identical results (where the arithmetic is the same) or the same law.
+parent-array trees, the block-pair SBM sampler and the urn ensemble are
+checked against them for identical results (where the arithmetic is the
+same) or the same law.  The tree helpers at the end (component sizes, psi,
+AHU signatures) are the definitions the tests check the library against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from netinfer.graphcore import bfs_order
+from netinfer.trees import centroid
 
 
 def dense_adj(n: int, edges) -> np.ndarray:
@@ -108,3 +113,85 @@ def dense_sample_sbm(n: int, params, rng) -> tuple[np.ndarray, np.ndarray]:
     block = gen.random((n, n)) < probs[np.ix_(labels, labels)]
     adj = np.triu(block, 1)
     return adj | adj.T, labels
+
+
+def loop_urn_run_batch(initial, steps: int, runs: int, rng,
+                       checkpoints=None) -> np.ndarray:
+    """Urn ensemble stepped one draw at a time: a fresh gen.random(runs) per
+    step, the color from cumulative per-run counts, its replacement row
+    gathered and added."""
+    marks = np.unique(np.asarray([steps] if checkpoints is None
+                                 else list(checkpoints), dtype=np.int64))
+    gen = rng.generator()
+    m = initial.colors
+    counts = np.tile(initial.counts.astype(np.int64), (runs, 1))
+    repl = initial.replacement
+    row_tot = repl.sum(axis=1)
+    totals = np.full(runs, initial.total, dtype=np.int64)
+    out = np.empty((marks.size, runs, m), dtype=np.int64)
+    pos = 0
+    if marks.size and marks[0] == 0:
+        out[0] = counts
+        pos = 1
+    for s in range(1, steps + 1):
+        x = gen.random(runs) * totals
+        cum = np.cumsum(counts, axis=1)
+        chosen = (cum <= x[:, None]).sum(axis=1)
+        counts += repl[chosen]
+        totals += row_tot[chosen]
+        if pos < marks.size and marks[pos] == s:
+            out[pos] = counts
+            pos += 1
+    return out
+
+
+def components_after_removal(t, v: int) -> list[int]:
+    """Sizes of the components of t - v, largest first; they sum to n - 1."""
+    t._check_vertex(v)
+    n = t.n
+    if n == 1:
+        return []
+    sizes = []
+    seen = np.zeros(n, dtype=bool)
+    seen[v] = True
+    for start in t.neighbors(v):
+        if seen[start]:
+            continue
+        stack = [int(start)]
+        seen[start] = True
+        count = 0
+        while stack:
+            u = stack.pop()
+            count += 1
+            nbrs = t.neighbors(u)
+            for w in nbrs[~seen[nbrs]]:
+                seen[w] = True
+                stack.append(int(w))
+        sizes.append(count)
+    return sorted(sizes, reverse=True)
+
+
+def psi(t, v: int) -> int:
+    """Size of the largest component remaining after deleting v."""
+    sizes = components_after_removal(t, v)
+    return max(sizes) if sizes else 0
+
+
+def ahu_signature(t) -> str:
+    """Canonical string for the isomorphism class (small-n test utility).
+
+    Rooted signatures are nested parentheses with children sorted; the
+    unrooted code roots at each centroid and keeps the smaller string.
+    """
+    return min(_rooted_signature(t, r) for r in sorted(centroid(t)))
+
+
+def _rooted_signature(t, root: int) -> str:
+    order, parent = bfs_order(t, root)
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    for v in order[1:]:
+        children[parent[v]].append(int(v))
+    sig = [""] * t.n
+    for v in order[::-1]:
+        sig[v] = "(" + "".join(sorted(sig[c] for c in children[v])) + ")"
+    return sig[root]

@@ -12,11 +12,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from netinfer import cli
+from netinfer import cli, urns
 from netinfer.cli import main
-from netinfer.graphcore import parse_edge_list
+from netinfer.graphcore import RngStream, parse_edge_list
 from netinfer.trees import required_k
 
 SUBCOMMANDS = [
@@ -401,6 +402,36 @@ def test_urn_check_triangular_fields(capsys):
     assert len(res["ks_consecutive"]) == 1
     assert len(res["means"]) == 2
     assert isinstance(res["pass"], bool)
+
+
+def test_urn_records_equal_library_calls(capsys):
+    """Each urn record holds what the library returns at the same seed."""
+    rec = run_record(capsys, "urn", "run", "--counts", "2,1,1",
+                     "--replacement", "[[1,2,0],[0,3,1],[1,0,0]]",
+                     "--steps", "40", "--checkpoints", "0,5,40", "--seed", "26")
+    state = urns.UrnState(np.array([2, 1, 1]),
+                          np.array([[1, 2, 0], [0, 3, 1], [1, 0, 0]]))
+    traj = urns.urn_run(state, 40, [0, 5, 40], RngStream(26))
+    assert rec["result"]["snapshots"] == [[int(t), row.tolist()] for t, row
+                                          in zip(traj.totals, traj.counts)]
+
+    rec = run_record(capsys, "urn", "check", "--counts", "3,2", "--law", "beta",
+                     "--n-final", "300", "--runs", "200", "--seed", "27")
+    check = urns.limit_law_check(urns.UrnState.classic(3, 2), "beta", 300,
+                                 200, RngStream(27))
+    assert rec["result"]["ks"] == check.ks
+    assert rec["result"]["marginal_ks"] == list(check.marginal_ks)
+
+    rec = run_record(capsys, "urn", "check", "--counts", "1,1",
+                     "--replacement", "triangular", "--law", "triangular",
+                     "--n-values", "50,100,200", "--runs", "60", "--seed", "28")
+    scaling = urns.triangular_urn_scaling(urns.UrnState.triangular(1, 1),
+                                          [50, 100, 200], 60, RngStream(28))
+    res = rec["result"]
+    assert res["n_values"] == list(scaling.totals)
+    assert res["ks_consecutive"] == list(scaling.ks_consecutive)
+    assert res["means"] == list(scaling.means)
+    assert res["ks"] == max(scaling.ks_consecutive)
 
 
 def test_urn_check_beta_needs_n_final(capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import components_after_removal
 from netinfer.graphcore import (
     DENSE_BYTES_LIMIT,
     DenseSizeError,
@@ -12,7 +13,6 @@ from netinfer.graphcore import (
     RngStream,
     Tree,
     bfs_order,
-    components_after_removal,
     parse_edge_list,
     serialize_edge_list,
 )

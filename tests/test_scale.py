@@ -1,5 +1,6 @@
 """Scale: trees with n = 10^6 and block models with n = 10^5 run through the
-CLI in a fresh process, in well under a GiB of resident memory.
+CLI in a fresh process, in well under a GiB of resident memory, and an urn
+ensemble of 2 * 10^8 draws in under half a GiB.
 
 Each command runs under a small wrapper process, so RUSAGE_CHILDREN sees
 that command alone and not other children of the pytest process.
@@ -23,6 +24,16 @@ print(json.dumps({"code": proc.returncode, "out": proc.stdout,
 _GIB_IN_KIB = 1 << 20
 
 
+def _run_wrapped(argv: str) -> tuple[dict, dict]:
+    """(wrapper report, the command's JSON record) for one CLI command."""
+    proc = subprocess.run([sys.executable, "-c", _WRAPPER] + argv.split(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["code"] == 0, run["err"]
+    return run, json.loads(run["out"])
+
+
 @pytest.mark.parametrize("argv,checks", [
     ("tree root --model ua --n 1000000 --k-set 10 --replicas 1 --seed 5",
      {"n": 1000000, "K": 10, "replicas": 1}),
@@ -30,12 +41,7 @@ _GIB_IN_KIB = 1 << 20
      {"rounds": 1, "corruption": 0.1}),
 ])
 def test_large_command_stays_under_a_gib(argv, checks):
-    proc = subprocess.run([sys.executable, "-c", _WRAPPER] + argv.split(),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
-    assert run["code"] == 0, run["err"]
-    record = json.loads(run["out"])
+    run, record = _run_wrapped(argv)
     assert record["command"] == " ".join(argv.split()[:2])
     assert record["seed"] == 5 and record["replicas"] == 1
     for key, value in checks.items():
@@ -44,6 +50,19 @@ def test_large_command_stays_under_a_gib(argv, checks):
         if key in record["result"]:
             assert 0.0 <= record["result"][key] <= 1.0
     assert run["maxrss_kib"] < _GIB_IN_KIB, run["maxrss_kib"]
+
+
+def test_long_urn_ensemble_stays_under_half_a_gib():
+    """2 * 10^5 steps of 1000 runs: all their uniforms at once would take
+    1.6 GB, so this pins that they are drawn a block of steps at a time."""
+    run, record = _run_wrapped("urn check --counts 1,1 --law beta "
+                               "--n-final 200000 --runs 1000 --seed 5")
+    assert record["command"] == "urn check"
+    assert record["seed"] == 5 and record["replicas"] == 1000
+    res = record["result"]
+    assert res["n_final"] == 200000 and res["runs"] == 1000
+    assert 0.0 <= res["ks"] < 1.0 and isinstance(res["pass"], bool)
+    assert run["maxrss_kib"] < _GIB_IN_KIB // 2, run["maxrss_kib"]
 
 
 def test_dense_guard_exits_one_at_once():

@@ -16,18 +16,17 @@ from scipy import stats
 
 import oracles
 from checks import assert_prop_close
+from oracles import ahu_signature, psi
 from netinfer.graphcore import RngStream, Tree, parse_edge_list, serialize_edge_list
 from netinfer.harness import ks_distance_cdf
 from netinfer.trees import (
     ConfidenceSet,
-    ahu_signature,
     branch_weights,
     centroid,
     fixed_vertex_degree_scaling,
     grow,
     max_degree,
     path,
-    psi,
     relabel_uniform,
     required_k,
     root_confidence_set,

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
 from checks import assert_mean_close
+from netinfer import urns
 from netinfer.graphcore import RngStream
 from netinfer.harness import ks_distance
 from netinfer.urns import (
@@ -163,6 +165,93 @@ def test_batch_martingale_fraction_preserved():
     out = urn_run_batch(u, 200, 4000, RngStream(9, 0))[0]
     fracs = out[:, 0] / out.sum(axis=1)
     assert_mean_close(fracs, 2.0 / 7.0)
+
+
+_RULES = [
+    UrnState.classic(1, 1),
+    UrnState.classic(3, 2),
+    UrnState.classic(1, 1, 1),
+    UrnState.classic(0, 2, 1),  # color 0 is never drawn
+    UrnState.k_per_step((1, 1), 2),
+    UrnState.triangular(1, 1),
+    UrnState(np.array([1, 2, 1]), np.array([[1, 2, 0], [0, 3, 1], [1, 0, 0]])),
+]
+
+_SCHEDULES = [  # (steps, runs, checkpoints)
+    (0, 5, None),
+    (0, 3, [0]),
+    (60, 1, [0, 7, 60]),
+    (200, 37, [0, 1, 100, 199, 200]),
+    (500, 64, None),
+]
+
+
+@pytest.mark.parametrize("steps,runs,marks", _SCHEDULES)
+@pytest.mark.parametrize("state", _RULES)
+def test_batch_matches_step_loop_oracle(state, steps, runs, marks):
+    got = urn_run_batch(state, steps, runs, RngStream(41, 3), marks)
+    want = oracles.loop_urn_run_batch(state, steps, runs, RngStream(41, 3), marks)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("state", _RULES)
+def test_batch_matches_oracle_across_uniform_blocks(state, monkeypatch):
+    # 3 steps of 7 runs per block: checkpoints 3, 4 and 21 and the last step
+    # (50, in a 2-step block) sit on either side of block edges
+    monkeypatch.setattr(urns, "_UNIFORM_BLOCK_BYTES", 3 * 7 * 8)
+    marks = [0, 2, 3, 4, 20, 21, 49, 50]
+    got = urn_run_batch(state, 50, 7, RngStream(42, 0), marks)
+    want = oracles.loop_urn_run_batch(state, 50, 7, RngStream(42, 0), marks)
+    np.testing.assert_array_equal(got, want)
+
+
+class _GridStream:
+    """Stands in for an RngStream whose uniforms are rounded down to the grid
+    k/8, so u * total often lands exactly on a cumulative count.  The
+    rounding is elementwise, so block and per-step draws still agree."""
+
+    def __init__(self, seed):
+        self._gen = RngStream(seed).generator()
+
+    def generator(self):
+        return self
+
+    def random(self, size=None, out=None):
+        u = self._gen.random(size, out=out)
+        np.floor(u * 8, out=u)
+        u /= 8
+        return u
+
+
+@pytest.mark.parametrize("state", _RULES)
+def test_ties_break_like_the_loops(state):
+    marks = [0, 3, 40]
+    want = oracles.loop_urn_run_batch(state, 40, 9, _GridStream(44), marks)
+    np.testing.assert_array_equal(
+        urn_run_batch(state, 40, 9, _GridStream(44), marks), want)
+    np.testing.assert_array_equal(
+        urn_run(state, 40, marks, _GridStream(45)).counts,
+        urn_run_batch(state, 40, 1, _GridStream(45), marks)[:, 0, :])
+
+
+@pytest.mark.parametrize("steps,marks", [(0, [0]), (1, [0, 1]), (60, [0, 7, 60]),
+                                         (300, [0, 150, 299, 300])])
+@pytest.mark.parametrize("state", _RULES)
+def test_urn_run_matches_one_run_ensemble(state, steps, marks):
+    traj = urn_run(state, steps, marks, RngStream(43, steps))
+    batch = urn_run_batch(state, steps, 1, RngStream(43, steps), marks)
+    np.testing.assert_array_equal(traj.counts, batch[:, 0, :])
+
+
+def test_batch_refuses_counts_past_exact_range():
+    big = UrnState(np.array([1, 1]), np.array([[1 << 50, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="2\\^53"):
+        urn_run_batch(big, 8, 2, RngStream(0, 0))
+    # just inside the range the counts are still exact
+    np.testing.assert_array_equal(
+        urn_run_batch(big, 7, 2, RngStream(0, 0)),
+        oracles.loop_urn_run_batch(big, 7, 2, RngStream(0, 0)))
 
 
 # ----------------------------------------------------- beta-binomial
