@@ -12,7 +12,7 @@ import sys
 
 from netinfer.geom import sample_er, sample_rgg, signed_triangle_stat
 from netinfer.graphcore import RngStream
-from netinfer.harness import power_test
+from netinfer.harness import power_from_samples, two_arm
 
 
 def main() -> int:
@@ -24,18 +24,18 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", default="detection_sweep.csv")
     args = ap.parse_args()
+    if args.replicas < 100:
+        ap.error("--replicas must be at least 100")
 
     dims = [int(x) for x in args.dims.split(",")]
     rng = RngStream(args.seed)
     rows = []
     for i, d in enumerate(dims):
-        report = power_test(
-            gen_null=lambda s: sample_er(args.n, args.p, s),
-            gen_alt=lambda s, dd=d: sample_rgg(args.n, args.p, dd, s),
-            statistic=lambda g: signed_triangle_stat(g, args.p),
-            replicas=args.replicas,
-            rng=rng.substream(2 * args.replicas * i),
-        )
+        report = power_from_samples(*two_arm(
+            lambda s: signed_triangle_stat(sample_er(args.n, args.p, s), args.p),
+            lambda s, dd=d: signed_triangle_stat(
+                sample_rgg(args.n, args.p, dd, s), args.p),
+            args.replicas, rng.substream(2 * args.replicas * i)))
         rows.append({"d": d, "power": report.power, "size": report.size,
                      "separation": report.power - report.size,
                      "threshold": report.threshold})

@@ -30,7 +30,7 @@ import scipy.sparse as _sparse
 from scipy.special import betainc, betaincinv
 
 from .graphcore import Graph, RngStream, check_dense, prefers_dense
-from .harness import replicate, weighted_midpoint
+from .harness import power_from_samples, two_arm
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
 ENTRY_DISTS = ("gaussian", "uniform-scaled", "rademacher")
@@ -327,14 +327,13 @@ def calibrate_tau(n: int, p: float, d: int, replicas: int,
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for calibration")
-    er = replicate(lambda s: signed_triangle_stat(sample_er(n, p, s), p),
-                   replicas, rng)
-    geo = replicate(lambda s: signed_triangle_stat(sample_rgg(n, p, d, s), p),
-                    replicas, rng, offset=replicas)
-    m0, s0 = float(er.mean()), float(er.std(ddof=1))
-    m1, s1 = float(geo.mean()), float(geo.std(ddof=1))
-    return CalibrationResult(mean_er=m0, mean_geo=m1, sd_er=s0, sd_geo=s1,
-                             tau_threshold=weighted_midpoint(m0, s0, m1, s1))
+    report = power_from_samples(*two_arm(
+        lambda s: signed_triangle_stat(sample_er(n, p, s), p),
+        lambda s: signed_triangle_stat(sample_rgg(n, p, d, s), p),
+        replicas, rng))
+    return CalibrationResult(mean_er=report.mean_null, mean_geo=report.mean_alt,
+                             sd_er=report.sd_null, sd_geo=report.sd_alt,
+                             tau_threshold=report.threshold)
 
 
 def estimate_dimension(g: Graph, n: int, p: float, candidates: Sequence[int],
@@ -369,19 +368,13 @@ def sparse_triangle_experiment(n: int, c: float, d: int, replicas: int,
     if replicas < 2:
         raise ValueError("need at least two replicas")
     p = c / n
-    er = replicate(lambda s: float(triangle_count(sample_er(n, p, s))),
-                   replicas, rng)
-    geo = replicate(lambda s: float(triangle_count(sample_rgg(n, p, d, s))),
-                    replicas, rng, offset=replicas)
-    m0, s0 = float(er.mean()), float(er.std(ddof=1))
-    m1, s1 = float(geo.mean()), float(geo.std(ddof=1))
-    thr = weighted_midpoint(m0, s0, m1, s1)
-    if m1 >= m0:
-        power, size = float((geo >= thr).mean()), float((er >= thr).mean())
-    else:
-        power, size = float((geo <= thr).mean()), float((er <= thr).mean())
-    return SparseTriangleResult(mean_T_er=m0, mean_T_geo=m1, power=power,
-                                size=size, threshold=thr)
+    report = power_from_samples(*two_arm(
+        lambda s: float(triangle_count(sample_er(n, p, s))),
+        lambda s: float(triangle_count(sample_rgg(n, p, d, s))),
+        replicas, rng))
+    return SparseTriangleResult(mean_T_er=report.mean_null,
+                                mean_T_geo=report.mean_alt, power=report.power,
+                                size=report.size, threshold=report.threshold)
 
 
 def _bartlett(n: int, d: int, gen: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Monte Carlo plumbing: sample sets, KS distances, and power estimation.
+"""Monte Carlo plumbing: replication, two-arm experiments, KS distances,
+and power estimation.
 
 Replication is deterministic: replica i draws from substream i of the
 caller's base stream and reductions run in fixed replica order, so a
@@ -9,29 +10,12 @@ how the work is scheduled.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .graphcore import RngStream
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Scalar statistic samples plus provenance tags."""
-
-    values: np.ndarray
-    model_tag: str = ""
-    seed_info: str = ""
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("SampleSet needs a nonempty 1-d value array")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -57,10 +41,8 @@ class PowerReport:
     sd_alt: float
 
 
-def mean_var(values: Sequence[float] | np.ndarray | SampleSet) -> MeanVar:
+def mean_var(values: Sequence[float] | np.ndarray) -> MeanVar:
     """Sample mean, unbiased variance, and standard error of the mean."""
-    if isinstance(values, SampleSet):
-        values = values.values
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least two samples")
@@ -110,27 +92,6 @@ def weighted_midpoint(m0: float, s0: float, m1: float, s1: float) -> float:
     return (m0 * s1 + m1 * s0) / (s0 + s1)
 
 
-def power_test(gen_null: Callable[[RngStream], T],
-               gen_alt: Callable[[RngStream], T],
-               statistic: Callable[[T], float],
-               replicas: int,
-               rng: RngStream,
-               jobs: int = 1) -> PowerReport:
-    """Estimate size and power of the threshold test separating two models.
-
-    The threshold is the standard-deviation-weighted midpoint of the two
-    sample means, which equalizes the two Chebyshev tail bounds.  The
-    test rejects toward the alternative mean.  Null replica i uses
-    substream i, alternative replica i uses substream replicas + i.
-    """
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
-    null_vals = replicate(lambda s: statistic(gen_null(s)), replicas, rng, jobs=jobs)
-    alt_vals = replicate(lambda s: statistic(gen_alt(s)), replicas, rng,
-                         jobs=jobs, offset=replicas)
-    return power_from_samples(null_vals, alt_vals)
-
-
 def power_from_samples(null_vals: np.ndarray, alt_vals: np.ndarray) -> PowerReport:
     """PowerReport for precomputed statistic samples; the test rejects on
     the alternative's side of the weighted midpoint."""
@@ -174,9 +135,22 @@ def replicate(fn: Callable[[RngStream], float], replicas: int, rng: RngStream,
     return out
 
 
+def two_arm(null_fn: Callable[[RngStream], float],
+            alt_fn: Callable[[RngStream], float],
+            replicas: int, rng: RngStream,
+            jobs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Null and alternative statistic samples of one detection experiment.
+
+    Null replica i uses substream i of rng and alternative replica i uses
+    substream replicas + i, so both arms follow from (rng, replicas)
+    alone and not from jobs.
+    """
+    null_vals = replicate(null_fn, replicas, rng, jobs=jobs)
+    alt_vals = replicate(alt_fn, replicas, rng, jobs=jobs, offset=replicas)
+    return null_vals, alt_vals
+
+
 def _values(x) -> np.ndarray:
-    if isinstance(x, SampleSet):
-        return x.values
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a nonempty 1-d sample array")

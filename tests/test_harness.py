@@ -6,14 +6,13 @@ from scipy import stats
 
 from netinfer.graphcore import RngStream
 from netinfer.harness import (
-    SampleSet,
     ks_distance,
     ks_distance_cdf,
     mean_var,
     power_from_samples,
-    power_test,
     replicate,
     tv_lower_bound,
+    two_arm,
     weighted_midpoint,
 )
 
@@ -52,12 +51,6 @@ def test_ks_two_large_uniform_samples_small():
     a = rng.random(10_000)
     b = rng.random(10_000)
     assert _ks(a, b) < 0.03
-
-
-def test_ks_accepts_sample_sets():
-    a = SampleSet(np.array([1.0, 2.0]), "a", RngStream(0, 0))
-    b = SampleSet(np.array([2.0, 3.0]), "b", RngStream(0, 1))
-    assert ks_distance(a, b) == 0.5
 
 
 _float_lists = st.lists(
@@ -139,9 +132,9 @@ def test_mean_var_needs_two_samples():
 
 def test_sample_set_validation():
     with pytest.raises(ValueError):
-        SampleSet(np.empty(0), "x", RngStream(0, 0))
+        ks_distance(np.empty(0), np.ones(2))
     with pytest.raises(ValueError):
-        SampleSet(np.zeros((2, 2)), "x", RngStream(0, 0))
+        ks_distance(np.zeros((2, 2)), np.ones(2))
 
 
 # ------------------------------------------------------------- thresholds
@@ -181,43 +174,46 @@ def test_replicate_parallel_matches_serial():
     assert (serial == parallel).all()
 
 
-# ------------------------------------------------------------- power_test
+# ------------------------------------------------------- two-arm power test
 
 
 def _normals(n: int, loc: float):
-    def gen(stream: RngStream) -> np.ndarray:
-        return stream.generator().normal(loc, 1.0, size=n)
-    return gen
+    """Mean of n draws from N(loc, 1): one replica of a two-arm statistic."""
+    def stat(stream: RngStream) -> float:
+        return float(stream.generator().normal(loc, 1.0, size=n).mean())
+    return stat
 
 
-def _mean(x: np.ndarray) -> float:
-    return float(x.mean())
+def test_two_arm_substream_layout():
+    base = RngStream(11, 40)
 
+    def draw(stream: RngStream) -> float:
+        return float(stream.generator().random())
 
-def test_power_test_requires_replicas():
-    with pytest.raises(ValueError, match="need at least 100 replicas"):
-        power_test(_normals(5, 0.0), _normals(5, 1.0), _mean, 50, RngStream(1, 0))
+    null_vals, alt_vals = two_arm(draw, draw, 3, base)
+    assert null_vals.tolist() == [draw(base.substream(i)) for i in range(3)]
+    assert alt_vals.tolist() == [draw(base.substream(3 + i)) for i in range(3)]
 
 
 def test_power_test_deterministic_and_parallel_safe():
-    args = (_normals(10, 0.0), _normals(10, 0.8), _mean, 150, RngStream(4, 0))
-    a = power_test(*args)
-    b = power_test(*args)
-    c = power_test(*args, jobs=3)
+    args = (_normals(10, 0.0), _normals(10, 0.8), 150, RngStream(4, 0))
+    a = power_from_samples(*two_arm(*args))
+    b = power_from_samples(*two_arm(*args))
+    c = power_from_samples(*two_arm(*args, jobs=3))
     assert a == b == c
 
 
 def test_power_test_identical_generators_power_matches_size():
     gen = _normals(20, 0.0)
-    rep = power_test(gen, gen, _mean, 400, RngStream(9, 0))
+    rep = power_from_samples(*two_arm(gen, gen, 400, RngStream(9, 0)))
     se = np.sqrt(0.25 / 400)
     assert abs(rep.power - rep.size) <= 3 * np.sqrt(2) * se
     assert rep.replicas == 400
 
 
 def test_power_test_separated_means():
-    rep = power_test(_normals(25, 0.0), _normals(25, 3.0), _mean, 200,
-                     RngStream(2, 0))
+    rep = power_from_samples(*two_arm(_normals(25, 0.0), _normals(25, 3.0), 200,
+                                      RngStream(2, 0)))
     assert rep.power >= 0.99
     assert rep.size <= 0.05
     assert rep.mean_null < rep.threshold < rep.mean_alt
@@ -225,8 +221,8 @@ def test_power_test_separated_means():
 
 def test_power_test_direction_flips_with_ordering():
     # alt mean below the null mean: rejections count on the low side
-    rep = power_test(_normals(25, 3.0), _normals(25, 0.0), _mean, 200,
-                     RngStream(2, 0))
+    rep = power_from_samples(*two_arm(_normals(25, 3.0), _normals(25, 0.0), 200,
+                                      RngStream(2, 0)))
     assert rep.power >= 0.99 and rep.size <= 0.05
     assert rep.mean_alt < rep.threshold < rep.mean_null
 
