@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__, geom, sbm, trees, urns
 from .graphcore import (Graph, RngStream, Tree, parse_edge_list,
                         serialize_edge_list)
-from .harness import (ks_distance, power_from_samples, replicate,
-                      tv_lower_bound, two_arm)
+from .harness import (binomial_se, ks_distance, power_from_samples,
+                      replicate, tv_lower_bound, two_arm)
 
 VERSION = f"netinfer-{__version__}"
 
@@ -388,19 +388,17 @@ def _run_sbm_partition(args) -> tuple:
 
 def _run_sbm_recover(args) -> tuple:
     params, replicas = _sbm_params(args), args.replicas
-    rng = RngStream(args.seed)
-    accuracies = np.empty(replicas, dtype=np.float64)
-    exact = 0
-    for i in range(replicas):
-        lg = sbm.sample_sbm(args.n, params, rng.substream(i))
+
+    def accuracy(s: RngStream) -> float:
+        lg = sbm.sample_sbm(args.n, params, s)
         recovered = sbm.genie_recover(lg, params, args.corruption, args.rounds,
-                                      rng.substream(replicas + i))
-        accuracies[i] = float((recovered == lg.labels).mean())
-        exact += bool((recovered == lg.labels).all())
-    rate = exact / replicas
+                                      s.substream(replicas))
+        return float((recovered == lg.labels).mean())
+    accuracies = replicate(accuracy, replicas, RngStream(args.seed))
+    rate = float((accuracies == 1.0).mean())
     settings = {"corruption": args.corruption, "rounds": args.rounds}
     result = {"mean_accuracy": float(accuracies.mean()), "exact_rate": rate,
-              "exact_se": math.sqrt(rate * (1 - rate) / replicas), **settings}
+              "exact_se": binomial_se(rate, replicas), **settings}
     return {**vars(params), "n": args.n, **settings}, result
 
 
@@ -458,7 +456,7 @@ def _run_geom_dimest(args) -> tuple:
         vals = replicate(
             lambda s, dd=cand: geom.signed_triangle_stat(
                 geom.sample_rgg(n, p, dd, s), p),
-            replicas, rng, jobs=args.jobs, offset=idx * replicas)
+            replicas, rng.substream(idx * replicas), jobs=args.jobs)
         means[cand] = float(vals.mean())
         computed = True
         table[key] = {"statistic": "tau", "mean_geo": means[cand],
@@ -594,7 +592,7 @@ def _run_tree_grow(args) -> tuple:
     _write(args.out, serialize_edge_list(rt.tree))
     if args.sidecar is not None:
         _write(args.sidecar, _json({"model": rt.model, "seed_size": rt.seed_size,
-                                    "arrival_permutation": rt.arrival + 1}))
+                                    "arrival_permutation": np.arange(1, rt.n + 1)}))
     md = trees.max_degree(rt)
     result = {"model": rt.model, "n": args.n, "seed_size": rt.seed_size,
               "edges": rt.tree.m,

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as _sparse
 from scipy.special import betainc, betaincinv
 
-from .graphcore import Graph, RngStream, check_dense, prefers_dense
+from .graphcore import (Graph, RngStream, bernoulli_pairs, check_dense,
+                        prefers_dense, sparse_adjacency)
 from .harness import power_from_samples, two_arm
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
@@ -117,6 +117,7 @@ def sample_sphere(n: int, d: int, rng: RngStream) -> SpherePoints:
         raise ValueError("dimension must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
+    check_dense(n, 8, "the sphere point matrix", d)
     gen = rng.generator()
     raw = gen.standard_normal((n, d))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -191,7 +192,7 @@ def sample_er(n: int, p: float, rng: RngStream) -> Graph:
     gen = rng.generator()
     if prefers_dense(n, p * n * (n - 1) / 2):
         return _dense_er(n, p, gen)
-    return _skip_er(n, p, gen)
+    return Graph._from_sorted_edges(n, bernoulli_pairs(n, p, gen))
 
 
 def triangle_count(g: Graph) -> int:
@@ -208,7 +209,7 @@ def triangle_count(g: Graph) -> int:
         return int(round(float(((a @ a) * a).sum(dtype=np.float64)) / 6.0))
     if g.m == 0:
         return 0
-    A = _csr_matrix(g)
+    A = sparse_adjacency(g)
     return int(round(((A @ A).multiply(A)).sum() / 6.0))
 
 
@@ -268,6 +269,7 @@ def sample_wishart(n: int, d: int, entry_dist: str = "gaussian",
             L = _bartlett(n, d, gen)
             W = L @ L.T
         else:
+            check_dense(n, 8, "the entry matrix", d)
             Y = _draw_entries(gen, (n, d), entry_dist)
             W = Y @ Y.T
         W = (W + W.T) / 2.0
@@ -455,57 +457,3 @@ def _dense_er(n: int, p: float, gen: np.random.Generator) -> Graph:
     adj = np.triu(gen.random((n, n)) < p, 1)
     adj |= adj.T
     return Graph._trusted(adj)
-
-
-def _skip_er(n: int, p: float, gen: np.random.Generator) -> Graph:
-    """G(n, p) by geometric skipping over the C(n, 2) pair slots, kept as
-    the edge store."""
-    pairs = _linear_to_pair(_bernoulli_positions(n * (n - 1) // 2, p, gen), n)
-    return Graph._from_sorted_edges(n, pairs)
-
-
-def _bernoulli_positions(total: int, p: float, gen: np.random.Generator) -> np.ndarray:
-    """Ascending Bernoulli(p) subset of range(total) via geometric skipping;
-    exactly i.i.d. inclusions without touching every slot."""
-    if p == 0.0 or total == 0:
-        return np.empty(0, dtype=np.int64)
-    if p == 1.0:
-        return np.arange(total, dtype=np.int64)
-    mean = total * p
-    positions = np.empty(0, dtype=np.int64)
-    last = -1
-    while True:
-        need = int((total * p - max(last, 0) * p) + 12 * math.sqrt(mean + 1) + 16)
-        gaps = gen.geometric(p, size=max(need, 16))
-        new = (np.cumsum(gaps) + last).astype(np.int64)
-        positions = np.concatenate([positions, new])
-        last = int(positions[-1])
-        if last >= total - 1:
-            break
-    return positions[positions < total]
-
-
-def _csr_matrix(g: Graph) -> _sparse.csr_matrix:
-    """The adjacency matrix as a scipy CSR matrix over the graph's rows."""
-    indptr, indices = g.csr()
-    return _sparse.csr_matrix((np.ones(indices.size), indices, indptr),
-                              shape=(g.n, g.n))
-
-
-def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:
-    """Invert the row-major upper-triangle enumeration of pairs (i < j),
-    where pair (i, j) has index i*n - i(i+1)/2 + (j - i - 1)."""
-
-    def row_start(i):
-        return i * n - i * (i + 1) // 2
-
-    kf = k.astype(np.float64)
-    i = np.floor(((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * kf)) / 2.0).astype(np.int64)
-    i = np.clip(i, 0, n - 2)
-    # float sqrt can land one row off; fix up exactly
-    too_far = row_start(i) > k
-    i[too_far] -= 1
-    too_near = k >= row_start(i + 1)
-    i[too_near] += 1
-    j = k - row_start(i) + i + 1
-    return np.column_stack([i, j])

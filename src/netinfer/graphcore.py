@@ -2,8 +2,9 @@
 
 A graph is stored either as a dense boolean matrix or as its sorted edge
 list; prefers_dense is the rule that picks one from the expected edge
-count, and check_dense refuses any n x n array past DENSE_BYTES_LIMIT.
-A tree is stored as its parent array.
+count, and check_dense refuses any n x n or n x d array past
+DENSE_BYTES_LIMIT.  A tree is stored as its parent array; random edge
+sets are skip-sampled over the candidate pairs (bernoulli_pairs).
 
 Vertices are 0-indexed in memory and 1-indexed in files; the parser and
 serializer are the only places where the shift happens.
@@ -11,11 +12,13 @@ serializer are the only places where the shift happens.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as _sparse
 
 _KEY_LIMIT = 1 << 64  # each Philox key word is an unsigned 64-bit integer
 
@@ -59,7 +62,7 @@ class RngStream:
         return RngStream(self.seed, self.stream + index)
 
 
-# An n x n array is allocated only when it fits in this many bytes; past it
+# A dense array is allocated only when it fits in this many bytes; past it
 # the caller gets DenseSizeError at once instead of an out-of-memory kill.
 DENSE_BYTES_LIMIT = 1 << 30
 
@@ -70,16 +73,18 @@ DENSE_BYTES_PER_EDGE = 64
 
 
 class DenseSizeError(ValueError):
-    """An n x n array would pass DENSE_BYTES_LIMIT."""
+    """A dense array would pass DENSE_BYTES_LIMIT."""
 
 
-def check_dense(n: int, itemsize: int, what: str) -> None:
-    """Raise DenseSizeError before `what` allocates an n x n array of
-    `itemsize`-byte cells larger than DENSE_BYTES_LIMIT."""
-    nbytes = n * n * itemsize
+def check_dense(n: int, itemsize: int, what: str, cols: int | None = None) -> None:
+    """Raise DenseSizeError before `what` allocates an n x cols array (n x n
+    when cols is None) of `itemsize`-byte cells larger than
+    DENSE_BYTES_LIMIT."""
+    cols = n if cols is None else cols
+    nbytes = n * cols * itemsize
     if nbytes > DENSE_BYTES_LIMIT:
         raise DenseSizeError(
-            f"{what} needs a dense {n} x {n} array of {nbytes / 2**30:.1f} GiB, "
+            f"{what} needs a dense {n} x {cols} array of {nbytes / 2**30:.1f} GiB, "
             f"above the {DENSE_BYTES_LIMIT / 2**30:g} GiB limit")
 
 
@@ -305,6 +310,59 @@ class Tree(Graph):
             edges.setflags(write=False)
             object.__setattr__(self, "_edges", edges)
         return self._edges
+
+
+def sparse_adjacency(g: Graph) -> _sparse.csr_matrix:
+    """The adjacency matrix as a scipy CSR matrix over the graph's rows."""
+    indptr, indices = g.csr()
+    return _sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                              shape=(g.n, g.n))
+
+
+def bernoulli_positions(total: int, p: float, gen: np.random.Generator) -> np.ndarray:
+    """Ascending Bernoulli(p) subset of range(total) via geometric skipping;
+    exactly i.i.d. inclusions without touching every slot."""
+    if p == 0.0 or total == 0:
+        return np.empty(0, dtype=np.int64)
+    if p == 1.0:
+        return np.arange(total, dtype=np.int64)
+    mean = total * p
+    positions = np.empty(0, dtype=np.int64)
+    last = -1
+    while True:
+        need = int((total * p - max(last, 0) * p) + 12 * math.sqrt(mean + 1) + 16)
+        gaps = gen.geometric(p, size=max(need, 16))
+        new = (np.cumsum(gaps) + last).astype(np.int64)
+        positions = np.concatenate([positions, new])
+        last = int(positions[-1])
+        if last >= total - 1:
+            break
+    return positions[positions < total]
+
+
+def bernoulli_pairs(k: int, p: float, gen: np.random.Generator) -> np.ndarray:
+    """Bernoulli(p) subset of the C(k, 2) pairs (i < j) of k vertices, as an
+    (m, 2) int64 array in lexicographic order."""
+    return _linear_to_pair(bernoulli_positions(k * (k - 1) // 2, p, gen), k)
+
+
+def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:
+    """Invert the row-major upper-triangle enumeration of pairs (i < j),
+    where pair (i, j) has index i*n - i(i+1)/2 + (j - i - 1)."""
+
+    def row_start(i):
+        return i * n - i * (i + 1) // 2
+
+    kf = k.astype(np.float64)
+    i = np.floor(((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * kf)) / 2.0).astype(np.int64)
+    i = np.clip(i, 0, n - 2)
+    # float sqrt can land one row off; fix up exactly
+    too_far = row_start(i) > k
+    i[too_far] -= 1
+    too_near = k >= row_start(i + 1)
+    i[too_near] += 1
+    j = k - row_start(i) + i + 1
+    return np.column_stack([i, j])
 
 
 def _sorted_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -51,6 +51,11 @@ def mean_var(values: Sequence[float] | np.ndarray) -> MeanVar:
     return MeanVar(m, v, float(np.sqrt(v / x.size)))
 
 
+def binomial_se(p: float, n: int) -> float:
+    """Standard error of a success rate p estimated from n trials."""
+    return float(np.sqrt(p * (1.0 - p) / n))
+
+
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup_x |F_a(x) - F_b(x)|."""
     xa = np.sort(_values(a))
@@ -111,28 +116,27 @@ def power_from_samples(null_vals: np.ndarray, alt_vals: np.ndarray) -> PowerRepo
         size = float((null_vals <= thr).mean())
     return PowerReport(
         power=power, size=size, threshold=float(thr), replicas=replicas,
-        power_se=_binom_se(power, replicas), size_se=_binom_se(size, replicas),
+        power_se=binomial_se(power, replicas), size_se=binomial_se(size, replicas),
         mean_null=m0, mean_alt=m1, sd_null=s0, sd_alt=s1,
     )
 
 
-def replicate(fn: Callable[[RngStream], float], replicas: int, rng: RngStream,
-              jobs: int = 1, offset: int = 0) -> np.ndarray:
-    """Evaluate fn on substreams offset..offset+replicas-1 in index order.
+def replicate(fn: Callable[[RngStream], float | np.ndarray], replicas: int,
+              rng: RngStream, jobs: int = 1) -> np.ndarray:
+    """Evaluate fn on substreams 0..replicas-1 of rng, in index order.
 
-    jobs > 1 fans the evaluations out over threads; results are written
-    back by replica index, so the output is independent of jobs.
+    fn returns a scalar or a fixed-length 1-d array, giving a (replicas,)
+    or (replicas, k) float64 array.  jobs > 1 fans the evaluations out
+    over threads; results are collected by replica index, so the output
+    is independent of jobs.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    streams = [rng.substream(offset + i) for i in range(replicas)]
+    streams = [rng.substream(i) for i in range(replicas)]
     if jobs <= 1:
         return np.array([fn(s) for s in streams], dtype=np.float64)
-    out = np.empty(replicas, dtype=np.float64)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for i, val in enumerate(pool.map(fn, streams)):
-            out[i] = val
-    return out
+        return np.array(list(pool.map(fn, streams)), dtype=np.float64)
 
 
 def two_arm(null_fn: Callable[[RngStream], float],
@@ -146,7 +150,7 @@ def two_arm(null_fn: Callable[[RngStream], float],
     alone and not from jobs.
     """
     null_vals = replicate(null_fn, replicas, rng, jobs=jobs)
-    alt_vals = replicate(alt_fn, replicas, rng, jobs=jobs, offset=replicas)
+    alt_vals = replicate(alt_fn, replicas, rng.substream(replicas), jobs=jobs)
     return null_vals, alt_vals
 
 
@@ -155,7 +159,3 @@ def _values(x) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a nonempty 1-d sample array")
     return arr
-
-
-def _binom_se(p: float, n: int) -> float:
-    return float(np.sqrt(p * (1.0 - p) / n))

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.stats import binom as _binom
 from scipy.stats import poisson as _poisson
 
-from .geom import _bernoulli_positions, _csr_matrix, _linear_to_pair
-from .graphcore import Graph, RngStream
+from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
+                        sparse_adjacency)
 
 REGIMES = ("constant", "logarithmic", "linear")
 
@@ -146,11 +146,10 @@ def sample_sbm(n: int, params: SbmParams, rng: RngStream) -> LabeledGraph:
     members = [np.nonzero(labels == a)[0] for a in range(params.k)]
     parts = []
     for a, ma in enumerate(members):
-        pos = _bernoulli_positions(ma.size * (ma.size - 1) // 2, probs[a, a], gen)
-        parts.append(ma[_linear_to_pair(pos, ma.size)])
+        parts.append(ma[bernoulli_pairs(ma.size, probs[a, a], gen)])
         for b in range(a + 1, params.k):
             mb = members[b]
-            pos = _bernoulli_positions(ma.size * mb.size, probs[a, b], gen)
+            pos = bernoulli_positions(ma.size * mb.size, probs[a, b], gen)
             parts.append(np.column_stack((ma[pos // mb.size], mb[pos % mb.size])))
     return LabeledGraph(graph=Graph.from_edges(n, np.concatenate(parts)),
                         labels=labels)
@@ -435,7 +434,7 @@ def genie_recover(lg: LabeledGraph, params: SbmParams, corruption: float,
         offset = gen.integers(1, k, size=n)
         labels[flip] = (labels[flip] + offset[flip]) % k
     L = math.log(n) * np.column_stack(community_profiles(params)).T
-    adj = _csr_matrix(lg.graph)
+    adj = sparse_adjacency(lg.graph)
     for _ in range(rounds):
         onehot = np.zeros((n, k), dtype=np.float64)
         onehot[np.arange(n), labels] = 1.0

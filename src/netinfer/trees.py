@@ -1,6 +1,6 @@
 """Uniform and preferential attachment trees and root-finding.
 
-Seeded growth with recorded arrival order, the branch-weight statistic
+Seeded growth with vertices in arrival order, the branch-weight statistic
 (size of the largest component left after deleting a vertex), centroids,
 ranked root confidence sets with the centroid-bound sizes, and Monte Carlo
 experiments for root-finding success and fixed-vertex degree growth.
@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graphcore import Graph, RngStream, Tree
+from .harness import binomial_se, replicate
 
 __all__ = [
     "RecordedTree",
@@ -41,31 +42,20 @@ MODELS = ("ua", "pa")
 
 @dataclass(frozen=True, eq=False)
 class RecordedTree:
-    """A grown tree plus the chronology needed to score root-finding.
-
-    ``arrival[k]`` is the vertex id holding chronological position k; trees
-    built by grow() use the identity (vertex ids are arrival order), and
-    the field survives serialization round trips of relabeled instances.
-    """
+    """A grown tree with its model and seed size.  Vertex ids are arrival
+    order, so vertex 0 arrived first and the seed holds 0..seed_size-1."""
 
     tree: Tree
-    arrival: np.ndarray
     model: str
     seed_size: int
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
-        arrival = np.asarray(self.arrival, dtype=np.int64)
-        n = self.tree.n
-        if arrival.shape != (n,) or not np.array_equal(np.sort(arrival), np.arange(n)):
-            raise ValueError("arrival must be a permutation of the vertex ids")
-        if not 1 <= self.seed_size <= n:
+        if not 1 <= self.seed_size <= self.tree.n:
             raise ValueError("seed_size must lie in [1, n]")
         if self.model == "pa" and self.seed_size < 2:
             raise ValueError("preferential attachment needs seed_size >= 2")
-        arrival.setflags(write=False)
-        object.__setattr__(self, "arrival", arrival)
 
     @property
     def n(self) -> int:
@@ -74,7 +64,7 @@ class RecordedTree:
     @property
     def root(self) -> int:
         """Vertex holding the first chronological position."""
-        return int(self.arrival[0])
+        return 0
 
 
 @dataclass(frozen=True)
@@ -131,14 +121,14 @@ def grow(model: str, n: int, rng: RngStream, seed: Tree | None = None) -> Record
     """
     model = _norm_model(model)
     if seed is None:
-        seed = Tree.from_parents([-1]) if model == "ua" else Tree.from_parents([-1, 0])
+        seed = _default_seed(model)
     if model == "pa" and seed.n < 2:
         raise ValueError("preferential attachment needs a seed with at least two vertices")
     if n < seed.n:
         raise ValueError("n must be at least the seed size")
     parent = np.concatenate([seed.parent, _grow_parents(model, n, seed, rng)])
-    return RecordedTree(tree=Tree._trusted_parents(parent), arrival=np.arange(n),
-                        model=model, seed_size=seed.n)
+    return RecordedTree(tree=Tree._trusted_parents(parent), model=model,
+                        seed_size=seed.n)
 
 
 def relabel_uniform(rt: RecordedTree, rng: RngStream) -> tuple[Tree, int]:
@@ -147,7 +137,7 @@ def relabel_uniform(rt: RecordedTree, rng: RngStream) -> tuple[Tree, int]:
     t = rt.tree
     perm = rng.generator().permutation(t.n)
     relabeled = t if t.n == 1 else Tree.from_edges(t.n, perm[t.edges()])
-    return relabeled, int(perm[rt.arrival[0]])
+    return relabeled, int(perm[0])
 
 
 def branch_weights(t: Tree) -> np.ndarray:
@@ -185,13 +175,12 @@ def root_confidence_set(t: Tree, K: int, epsilon: float | None = None) -> Confid
     return ConfidenceSet(vertices=tuple(int(v) for v in picked), K=K, epsilon=epsilon)
 
 
-def required_k(model: str, epsilon: float, bound: str | None = None,
-               c: float = 1.0) -> int:
+def required_k(model: str, epsilon: float, c: float = 1.0) -> int:
     """Confidence-set size with guaranteed coverage at the given epsilon.
 
-    "centroid_ua": ceil(2.5 * ln(1/eps) / eps), the size at which the
+    ua ("centroid_ua"): ceil(2.5 * ln(1/eps) / eps), the size at which the
     branch-weight set covers the uniform-attachment root with probability
-    at least 1 - 4*eps/(1-eps) as n grows.  "paper_pa_upper":
+    at least 1 - 4*eps/(1-eps) as n grows.  pa ("paper_pa_upper"):
     ceil(c * ln(1/eps)^2 / eps^4); only the existence of a constant is
     known, so c (default 1) is an uncalibrated engineering choice and
     results using it report that caveat.
@@ -199,18 +188,10 @@ def required_k(model: str, epsilon: float, bound: str | None = None,
     model = _norm_model(model)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if bound is None:
-        bound = "centroid_ua" if model == "ua" else "paper_pa_upper"
     log_inv = math.log(1.0 / epsilon)
-    if bound == "centroid_ua":
-        if model != "ua":
-            raise ValueError("centroid_ua bound applies to the ua model")
+    if model == "ua":
         return math.ceil(2.5 * log_inv / epsilon)
-    if bound == "paper_pa_upper":
-        if model != "pa":
-            raise ValueError("paper_pa_upper bound applies to the pa model")
-        return math.ceil(c * log_inv ** 2 / epsilon ** 4)
-    raise ValueError(f"unknown bound: {bound!r}")
+    return math.ceil(c * log_inv ** 2 / epsilon ** 4)
 
 
 def max_degree(rt: RecordedTree | Graph) -> MaxDegree:
@@ -235,19 +216,19 @@ def fixed_vertex_degree_scaling(n_values: Sequence[int], runs: int,
         raise ValueError("need at least two strictly increasing sizes")
     if runs < 1:
         raise ValueError("runs must be positive")
-    seed = Tree.from_parents([-1]) if model == "ua" else Tree.from_parents([-1, 0])
+    seed = _default_seed(model)
     n0 = seed.n
     if n_values[0] < n0:
         raise ValueError("sizes must be at least the seed size")
     n_max = n_values[-1]
     base = seed.degree(0)
     steps = np.asarray(n_values, dtype=np.int64) - n0  # growth steps completed
-    sums = np.zeros(len(n_values), dtype=np.float64)
-    for run in range(runs):
-        parents = _grow_parents(model, n_max, seed, rng.substream(run))
+
+    def degrees(s: RngStream) -> np.ndarray:
+        parents = _grow_parents(model, n_max, seed, s)
         hits = np.concatenate([[0], np.cumsum(parents == 0)])
-        sums += base + hits[steps]
-    means = sums / runs
+        return base + hits[steps]
+    means = replicate(degrees, runs, rng).sum(axis=0) / runs
     slope = float(np.polyfit(np.log(n_values), np.log(means), 1)[0])
     return DegreeScaling(slope=slope, n_values=tuple(n_values),
                          mean_degree=tuple(float(x) for x in means),
@@ -286,22 +267,23 @@ def root_finding_success(model: str, n: int, K: int, replicas: int,
         raise ValueError("K must be at least 1")
     if epsilon is not None and not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    hits = 0
-    for i in range(replicas):
-        rt = grow(model, n, rng.substream(i), seed=seed)
-        if scoring == "either_endpoint" and rt.seed_size < 2:
-            raise ValueError("either_endpoint scoring needs a seed edge")
+    model = _norm_model(model)
+    seed_size = _default_seed(model).n if seed is None else seed.n
+    if scoring == "either_endpoint" and seed_size < 2:
+        raise ValueError("either_endpoint scoring needs a seed edge")
+    targets = np.arange(1 if scoring == "root" else 2)
+
+    def hit(s: RngStream) -> float:
+        rt = grow(model, n, s, seed=seed)
         # vertex v carries label perm[v] in the relabeled tree, so ranking
         # by (branch weight, label) here picks that tree's confidence set
-        perm = rng.substream(replicas + i).generator().permutation(n)
+        perm = s.substream(replicas).generator().permutation(n)
         picked = np.lexsort((perm, branch_weights(rt.tree)))[:K]
-        targets = rt.arrival[:1] if scoring == "root" else rt.arrival[:2]
-        if np.isin(targets, picked).any():
-            hits += 1
-    rate = hits / replicas
-    se = math.sqrt(rate * (1.0 - rate) / replicas)
-    return RootFindingReport(model=_norm_model(model), n=n, K=K, epsilon=epsilon,
-                             success_rate=rate, replicas=replicas, se=se)
+        return float(np.isin(targets, picked).any())
+    rate = float(replicate(hit, replicas, rng).mean())
+    return RootFindingReport(model=model, n=n, K=K, epsilon=epsilon,
+                             success_rate=rate, replicas=replicas,
+                             se=binomial_se(rate, replicas))
 
 
 def star(n: int) -> Tree:
@@ -377,6 +359,11 @@ def _subtree_sizes(parent: np.ndarray) -> np.ndarray:
         level = order[ends[d - 1]:ends[d]]
         np.add.at(sub, parent[level], sub[level])
     return sub
+
+
+def _default_seed(model: str) -> Tree:
+    """The seed grow() starts from: one vertex for ua, one edge for pa."""
+    return Tree.from_parents([-1] if model == "ua" else [-1, 0])
 
 
 def _norm_model(model: str) -> str:

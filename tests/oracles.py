@@ -1,7 +1,8 @@
 """Reference implementations on dense adjacency matrices and Python loops.
 
 These are the former library paths, kept as oracles: the edge store, the
-parent-array trees, the block-pair SBM sampler and the urn ensemble are
+parent-array trees, the block-pair SBM sampler, the urn ensemble and the
+replica loops of `sbm recover` and the degree-scaling experiment are
 checked against them for identical results (where the arithmetic is the
 same) or the same law.  The tree helpers at the end (component sizes, psi,
 AHU signatures) are the definitions the tests check the library against.
@@ -9,10 +10,13 @@ AHU signatures) are the definitions the tests check the library against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from netinfer import sbm
 from netinfer.graphcore import bfs_order
-from netinfer.trees import centroid
+from netinfer.trees import centroid, grow
 
 
 def dense_adj(n: int, edges) -> np.ndarray:
@@ -113,6 +117,38 @@ def dense_sample_sbm(n: int, params, rng) -> tuple[np.ndarray, np.ndarray]:
     block = gen.random((n, n)) < probs[np.ix_(labels, labels)]
     adj = np.triu(block, 1)
     return adj | adj.T, labels
+
+
+def loop_sbm_recover(n: int, params, corruption: float, rounds: int,
+                     replicas: int, rng) -> tuple[float, float, float]:
+    """(mean accuracy, exact-recovery rate, its binomial se): replica i
+    samples on substream i and corrupts labels on substream replicas + i."""
+    accuracies = np.empty(replicas, dtype=np.float64)
+    exact = 0
+    for i in range(replicas):
+        lg = sbm.sample_sbm(n, params, rng.substream(i))
+        recovered = sbm.genie_recover(lg, params, corruption, rounds,
+                                      rng.substream(replicas + i))
+        accuracies[i] = float((recovered == lg.labels).mean())
+        exact += bool((recovered == lg.labels).all())
+    rate = exact / replicas
+    return float(accuracies.mean()), rate, math.sqrt(rate * (1 - rate) / replicas)
+
+
+def loop_degree_scaling(n_values, runs: int, rng, model: str) -> tuple[float, tuple]:
+    """(slope, mean degrees) of vertex 0, one tree per run grown to
+    max(n_values) on substream run from the default seed."""
+    n0 = 1 if model == "ua" else 2
+    base = 0 if model == "ua" else 1
+    steps = np.asarray(n_values, dtype=np.int64) - n0
+    sums = np.zeros(len(n_values), dtype=np.float64)
+    for run in range(runs):
+        parents = grow(model, n_values[-1], rng.substream(run)).tree.parent[n0:]
+        hits = np.concatenate([[0], np.cumsum(parents == 0)])
+        sums += base + hits[steps]
+    means = sums / runs
+    slope = float(np.polyfit(np.log(n_values), np.log(means), 1)[0])
+    return slope, tuple(float(x) for x in means)
 
 
 def loop_urn_run_batch(initial, steps: int, runs: int, rng,

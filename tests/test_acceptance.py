@@ -181,7 +181,7 @@ def test_detection_power_by_regime():
             R, rng, jobs=4)
         alt_v = replicate(
             lambda s: geom.signed_triangle_stat(geom.sample_rgg(n, p, d, s), p),
-            R, rng, jobs=4, offset=R)
+            R, rng.substream(R), jobs=4)
         return power_from_samples(null_v, alt_v)
 
     low = arms(64, 0.5, 2, 20260503)
@@ -208,7 +208,7 @@ def test_wishart_matches_geometric_law():
         R, rng, jobs=4)
     g_tau = replicate(
         lambda s: geom.signed_triangle_stat(geom.sample_rgg(n, 0.5, d, s), 0.5),
-        R, rng, jobs=4, offset=R)
+        R, rng.substream(R), jobs=4)
     ks = ks_distance(w_tau, g_tau)
     elapsed = time.time() - start
     _report("Wishart graph vs sphere graph tau law",
@@ -227,7 +227,7 @@ def _tr_cubed_slope(entry_dist: str, seed: int):
             lambda s, dd=d: geom.tr_cubed(
                 geom.sample_wishart(32, dd, entry_dist=entry_dist,
                                     kind="wishart_scaled_nodiag", rng=s)),
-            R, rng, jobs=4, offset=offset)
+            R, rng.substream(offset), jobs=4)
         offset += R
         means.append(float(vals.mean()))
     return float(np.polyfit(np.log(ds), np.log(means), 1)[0]), means

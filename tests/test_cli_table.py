@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import oracles
 from netinfer import cli, geom, sbm, trees
 from netinfer.graphcore import RngStream, serialize_edge_list
 from netinfer.harness import power_from_samples, replicate, tv_lower_bound, two_arm
@@ -236,8 +237,8 @@ def test_geom_dimest_record_equals_library(capsys):
                  "--candidates", "4,2", "--true-d", "2", "--replicas", "20",
                  "--seed", "6")["result"]
     rng = RngStream(6)
-    means = {d: float(replicate(_tau_arm(16, 0.5, d), 20, rng,
-                                offset=i * 20).mean())
+    means = {d: float(replicate(_tau_arm(16, 0.5, d), 20,
+                                rng.substream(i * 20)).mean())
              for i, d in enumerate([2, 4])}
     target = geom.sample_rgg(16, 0.5, 2, rng.substream(40))
     assert res["calibrated_means"] == {str(d): m for d, m in means.items()}
@@ -267,6 +268,16 @@ def test_tree_root_record_equals_library(capsys):
                                         epsilon=0.3)
     assert res["K"] == K
     assert (res["success_rate"], res["se"]) == (report.success_rate, report.se)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sbm_recover_record_equals_loop_oracle(capsys, seed):
+    res = record(capsys, "sbm", "recover", "--k", "2", "--a", "9", "--b", "1",
+                 "--n", "300", "--replicas", "40", "--seed", str(seed))["result"]
+    expect = oracles.loop_sbm_recover(300, sbm.SbmParams.symmetric(2, 9.0, 1.0),
+                                      0.1, 1, 40, RngStream(seed))
+    assert 0.0 < res["exact_rate"] < 1.0
+    assert (res["mean_accuracy"], res["exact_rate"], res["exact_se"]) == expect
 
 
 def test_mc_power_record_equals_library(capsys):

@@ -28,11 +28,10 @@ from netinfer.geom import (
     _bartlett,
     _dense_er,
     _draw_entries,
-    _linear_to_pair,
     _rgg_circle,
-    _skip_er,
 )
-from netinfer.graphcore import Graph, RngStream, Tree
+from netinfer.graphcore import (DenseSizeError, Graph, RngStream, Tree,
+                                _linear_to_pair, bernoulli_pairs)
 from netinfer.harness import ks_distance, ks_distance_cdf
 
 # ------------------------------------------------------------- sphere
@@ -66,6 +65,13 @@ def test_sphere_validation():
         sample_sphere(5, 1, RngStream(0, 0))
     with pytest.raises(ValueError, match="positive"):
         sample_sphere(0, 3, RngStream(0, 0))
+
+
+def test_n_by_d_draws_are_refused_before_allocation():
+    with pytest.raises(DenseSizeError, match="dense 100000 x 100000 array"):
+        sample_sphere(10**5, 10**5, RngStream(0, 0))
+    with pytest.raises(DenseSizeError, match="dense 32 x 1000000000 array"):
+        sample_wishart(32, 10**9, entry_dist="uniform-scaled", rng=RngStream(0, 0))
 
 
 # ---------------------------------------------------------- threshold
@@ -481,7 +487,10 @@ def test_skip_er_matches_dense_mask_law(n, p, reps):
     base = RngStream(44, n)
     crit = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2.0 / reps)
     arms = []
-    for k, draw in enumerate((_dense_er, _skip_er)):
+
+    def skip_er(n, p, gen):
+        return Graph.from_edges(n, bernoulli_pairs(n, p, gen))
+    for k, draw in enumerate((_dense_er, skip_er)):
         graphs = [draw(n, p, base.substream(k * reps + i).generator())
                   for i in range(reps)]
         assert all((g.adj is not None) == (draw is _dense_er) for g in graphs)

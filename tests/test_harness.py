@@ -158,7 +158,7 @@ def test_replicate_uses_offset_substreams():
     def draw(stream: RngStream) -> float:
         return float(stream.generator().random())
 
-    vals = replicate(draw, 3, base, offset=5)
+    vals = replicate(draw, 3, base.substream(5))
     expect = [draw(base.substream(5 + i)) for i in range(3)]
     assert vals.tolist() == expect
 
@@ -172,6 +172,19 @@ def test_replicate_parallel_matches_serial():
     serial = replicate(draw, 24, base)
     parallel = replicate(draw, 24, base, jobs=4)
     assert (serial == parallel).all()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_replicate_vector_results_are_rows_in_replica_order(jobs):
+    base = RngStream(12, 3)
+
+    def draw(stream: RngStream) -> np.ndarray:
+        return stream.generator().normal(size=4)
+
+    serial = replicate(draw, 7, base)
+    assert serial.shape == (7, 4) and serial.dtype == np.float64
+    assert serial.tolist() == [draw(base.substream(i)).tolist() for i in range(7)]
+    assert serial.tobytes() == replicate(draw, 7, base, jobs=jobs).tobytes()
 
 
 # ------------------------------------------------------- two-arm power test

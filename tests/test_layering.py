@@ -1,0 +1,36 @@
+"""Modules of the package use each other only through public names: a
+relative import of a private name (``from .geom import _helper``) ties one
+module to another's internals, so it fails here.  Dunders such as
+``__version__`` are public."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netinfer"
+
+
+def _private_relative_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    found.append(f"{path.name}:{node.lineno} imports "
+                                 f"{'.' * node.level}{node.module or ''}.{name}")
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [hit for path in modules for hit in _private_relative_imports(path)]
+    assert found == []
+
+
+def test_the_check_sees_private_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import __version__\n"
+                     "from .geom import sample_er, _skip_er\n", encoding="utf-8")
+    assert _private_relative_imports(probe) == ["probe.py:2 imports .geom._skip_er"]

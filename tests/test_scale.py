@@ -23,6 +23,14 @@ print(json.dumps({"code": proc.returncode, "out": proc.stdout,
 
 _GIB_IN_KIB = 1 << 20
 
+# runs the CLI with the process's address space capped at 4 GiB
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from netinfer.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 def _run_wrapped(argv: str) -> tuple[dict, dict]:
     """(wrapper report, the command's JSON record) for one CLI command."""
@@ -75,4 +83,18 @@ def test_dense_guard_exits_one_at_once():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "dense 200000 x 200000 array" in proc.stderr
+    assert "GiB limit" in proc.stderr
+
+
+def test_n_by_d_guard_exits_one_at_once(tmp_path):
+    """8 GB of sphere coordinates are refused before allocation; the child
+    runs under a 4 GiB address-space cap, so a missing guard fails with a
+    MemoryError instead of exhausting the host."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "geom", "gen", "--n", "5000", "--p",
+         "0.001", "--d", "200000", "--seed", "1", "--out", str(tmp_path / "g.txt")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "sphere point matrix needs a dense 5000 x 200000 array" in proc.stderr
     assert "GiB limit" in proc.stderr

@@ -61,7 +61,6 @@ def test_grow_records_arrival_and_model():
     assert rt.seed_size == 1
     assert rt.n == 9
     assert rt.root == 0
-    np.testing.assert_array_equal(rt.arrival, np.arange(9))
     rt = grow("pa", 9, RngStream(1))
     assert rt.seed_size == 2
     assert rt.tree.degree(0) + rt.tree.degree(1) >= 2
@@ -230,7 +229,7 @@ def test_required_k_values():
     assert required_k("pa", 0.1) == 53019
     assert required_k("pa", 0.1, c=2.0) == 106038
     assert required_k("pa", 0.3) == 179
-    assert required_k("ua", 0.1, bound="centroid_ua") == 58
+    assert required_k("ua", 0.1) == 58
 
 
 def test_required_k_monotone():
@@ -243,12 +242,6 @@ def test_required_k_validation():
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match="epsilon must lie in"):
             required_k("ua", eps)
-    with pytest.raises(ValueError, match="centroid_ua bound applies to the ua"):
-        required_k("pa", 0.1, bound="centroid_ua")
-    with pytest.raises(ValueError, match="paper_pa_upper bound applies to the pa"):
-        required_k("ua", 0.1, bound="paper_pa_upper")
-    with pytest.raises(ValueError, match="unknown bound"):
-        required_k("ua", 0.1, bound="exact")
 
 
 def test_max_degree():
@@ -413,6 +406,16 @@ def test_degree_scaling_ua_is_flatter():
                                          RngStream(4027), model="ua")
     assert 0.02 < report.slope < 0.3
     assert all(a < b for a, b in zip(report.mean_degree, report.mean_degree[1:]))
+
+
+@pytest.mark.parametrize("model,seed", [("ua", 4027), ("pa", 4026)])
+def test_degree_scaling_matches_loop_oracle(model, seed):
+    got = fixed_vertex_degree_scaling([300, 900, 2700], 60, RngStream(seed),
+                                      model=model)
+    slope, means = oracles.loop_degree_scaling([300, 900, 2700], 60,
+                                               RngStream(seed), model)
+    assert got.slope == slope
+    assert got.mean_degree == means
 
 
 def test_degree_scaling_validation():
