@@ -16,6 +16,10 @@ Random graphs take the dense store only when graphcore.prefers_dense says
 it pays for the expected edge count; otherwise G(n, p) is drawn by
 geometric skipping over the pairs and G(n, p, d) from sorted angles
 (d = 2) or row-chunked Gram products, so cost follows the edge count.
+
+Sphere points and matrix ensembles come back as read-only float64 arrays.
+The two-arm experiments return harness.PowerReport with G(n, p) as the
+null and G(n, p, d) as the alternative.
 """
 
 from __future__ import annotations
@@ -30,56 +34,10 @@ from scipy.special import betainc, betaincinv
 
 from .graphcore import (Graph, RngStream, bernoulli_pairs, check_dense,
                         prefers_dense, sparse_adjacency)
-from .harness import power_from_samples, two_arm
+from .harness import PowerReport, power_from_samples, two_arm
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
 ENTRY_DISTS = ("gaussian", "uniform-scaled", "rademacher")
-
-
-@dataclass(frozen=True)
-class SpherePoints:
-    """n unit-norm rows in R^d, i.i.d. uniform on the sphere."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.ndim != 2:
-            raise ValueError("coords must be an (n, d) matrix")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.coords.shape[1]
-
-
-@dataclass(frozen=True)
-class GaussianMatrix:
-    """Symmetric random-matrix sample tagged with its ensemble."""
-
-    kind: str
-    values: np.ndarray
-    entry_dist: str = "gaussian"
-
-    def __post_init__(self):
-        if self.kind not in WISHART_KINDS:
-            raise ValueError(f"kind must be one of {WISHART_KINDS}")
-        if self.entry_dist not in ENTRY_DISTS:
-            raise ValueError(f"entry_dist must be one of {ENTRY_DISTS}")
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("values must be a square matrix")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 class TriangleMoments(NamedTuple):
@@ -93,26 +51,9 @@ class DetectionResult:
     statistic: float
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    mean_er: float
-    mean_geo: float
-    sd_er: float
-    sd_geo: float
-    tau_threshold: float
-
-
-@dataclass(frozen=True)
-class SparseTriangleResult:
-    mean_T_er: float
-    mean_T_geo: float
-    power: float
-    size: float
-    threshold: float
-
-
-def sample_sphere(n: int, d: int, rng: RngStream) -> SpherePoints:
-    """n i.i.d. uniform points on S^{d-1}: normalized standard Gaussians."""
+def sample_sphere(n: int, d: int, rng: RngStream) -> np.ndarray:
+    """n i.i.d. uniform points on S^{d-1}, the rows of a read-only (n, d)
+    array: normalized standard Gaussians."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if n < 1:
@@ -125,7 +66,9 @@ def sample_sphere(n: int, d: int, rng: RngStream) -> SpherePoints:
         bad = norms[:, 0] == 0.0
         raw[bad] = gen.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return SpherePoints(raw / norms)
+    raw /= norms
+    raw.setflags(write=False)
+    return raw
 
 
 # Every sample_rgg call of a Monte Carlo loop asks for the same (p, d), and
@@ -153,16 +96,17 @@ def threshold(p: float, d: int) -> float:
     return t
 
 
-def rgg_from_points(points: SpherePoints, p: float) -> Graph:
-    """Geometric graph on given points: edge iff inner product >= t_{p,d}."""
-    t = threshold(p, points.d)
-    n = points.n
+def rgg_from_points(coords: np.ndarray, p: float) -> Graph:
+    """Geometric graph on the rows of an (n, d) array of sphere points:
+    edge iff inner product >= t_{p,d}."""
+    n, d = coords.shape
+    t = threshold(p, d)
     if prefers_dense(n, p * n * (n - 1) / 2):
         check_dense(n, 8, "the Gram matrix")
-        return _dense_rgg(points.coords @ points.coords.T, t)
-    if points.d == 2 and t > 0.0:
-        return _rgg_circle(points.coords, t)
-    return Graph.from_edges(n, _edges_by_chunks(points.coords, t))
+        return _dense_rgg(coords @ coords.T, t)
+    if d == 2 and t > 0.0:
+        return _rgg_circle(coords, t)
+    return Graph.from_edges(n, _edges_by_chunks(coords, t))
 
 
 def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
@@ -243,8 +187,8 @@ def triangle_moments_er(n: int, p: float) -> TriangleMoments:
 
 
 def sample_wishart(n: int, d: int, entry_dist: str = "gaussian",
-                   kind: str = "wishart", rng: RngStream | None = None) -> GaussianMatrix:
-    """Sample one of the ensembles:
+                   kind: str = "wishart", rng: RngStream | None = None) -> np.ndarray:
+    """Sample one of the ensembles as a read-only n x n float64 array:
 
     - wishart: Y Y^T with Y an n x d matrix of i.i.d. unit-variance entries
       (for gaussian entries with d >= n, drawn as L L^T by Bartlett);
@@ -285,16 +229,17 @@ def sample_wishart(n: int, d: int, entry_dist: str = "gaussian",
             W = math.sqrt(d) * M + d * np.eye(n)
         else:
             W = M
-    return GaussianMatrix(kind=kind, values=W, entry_dist=entry_dist)
+    W.setflags(write=False)
+    return W
 
 
-def h_map(w: GaussianMatrix | np.ndarray) -> Graph:
+def h_map(w: np.ndarray) -> Graph:
     """Threshold a symmetric matrix to a graph: edge iff W_ij >= 0, i != j.
 
     Applied to a Wishart matrix W(n, d) this has exactly the law of
     G(n, 1/2, d); applied to the shifted GOE it gives G(n, 1/2).
     """
-    values = w.values if isinstance(w, GaussianMatrix) else np.asarray(w, dtype=np.float64)
+    values = np.asarray(w, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("need a square matrix")
     if not np.array_equal(values, values.T):
@@ -304,9 +249,9 @@ def h_map(w: GaussianMatrix | np.ndarray) -> Graph:
     return Graph._trusted(adj)
 
 
-def tr_cubed(w: GaussianMatrix | np.ndarray) -> float:
+def tr_cubed(w: np.ndarray) -> float:
     """Trace of the matrix cube."""
-    V = w.values if isinstance(w, GaussianMatrix) else np.asarray(w, dtype=np.float64)
+    V = np.asarray(w, dtype=np.float64)
     return float(((V @ V) * V.T).sum())
 
 
@@ -320,22 +265,20 @@ def detect_geometry(g: Graph, n: int, p: float, tau_threshold: float) -> Detecti
 
 
 def calibrate_tau(n: int, p: float, d: int, replicas: int,
-                  rng: RngStream) -> CalibrationResult:
-    """Monte Carlo moments of tau under G(n,p) and G(n,p,d), plus the
-    standard-deviation-weighted midpoint threshold between the means.
+                  rng: RngStream) -> PowerReport:
+    """Monte Carlo moments of tau under G(n,p) (the null) and G(n,p,d)
+    (the alternative), plus the standard-deviation-weighted midpoint
+    threshold between the means.
 
     Null replica i uses substream i, geometric replica i substream
     replicas + i.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for calibration")
-    report = power_from_samples(*two_arm(
+    return power_from_samples(*two_arm(
         lambda s: signed_triangle_stat(sample_er(n, p, s), p),
         lambda s: signed_triangle_stat(sample_rgg(n, p, d, s), p),
         replicas, rng))
-    return CalibrationResult(mean_er=report.mean_null, mean_geo=report.mean_alt,
-                             sd_er=report.sd_null, sd_geo=report.sd_alt,
-                             tau_threshold=report.threshold)
 
 
 def estimate_dimension(g: Graph, n: int, p: float, candidates: Sequence[int],
@@ -359,7 +302,7 @@ def estimate_dimension(g: Graph, n: int, p: float, candidates: Sequence[int],
 
 
 def sparse_triangle_experiment(n: int, c: float, d: int, replicas: int,
-                               rng: RngStream) -> SparseTriangleResult:
+                               rng: RngStream) -> PowerReport:
     """Triangle-count test at edge probability c/n between G(n, c/n) and
     G(n, c/n, d); reports the two means and the power of the weighted-
     midpoint threshold test. No claim is made about the d >> log^3(n)
@@ -370,13 +313,10 @@ def sparse_triangle_experiment(n: int, c: float, d: int, replicas: int,
     if replicas < 2:
         raise ValueError("need at least two replicas")
     p = c / n
-    report = power_from_samples(*two_arm(
+    return power_from_samples(*two_arm(
         lambda s: float(triangle_count(sample_er(n, p, s))),
         lambda s: float(triangle_count(sample_rgg(n, p, d, s))),
         replicas, rng))
-    return SparseTriangleResult(mean_T_er=report.mean_null,
-                                mean_T_geo=report.mean_alt, power=report.power,
-                                size=report.size, threshold=report.threshold)
 
 
 def _bartlett(n: int, d: int, gen: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,6 @@ from .harness import binomial_se, replicate
 
 __all__ = [
     "RecordedTree",
-    "ConfidenceSet",
     "MaxDegree",
     "DegreeScaling",
     "RootFindingReport",
@@ -65,26 +64,6 @@ class RecordedTree:
     def root(self) -> int:
         """Vertex holding the first chronological position."""
         return 0
-
-
-@dataclass(frozen=True)
-class ConfidenceSet:
-    """K vertices ranked by branch weight (smallest first, ties by id)."""
-
-    vertices: tuple
-    K: int
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        if len(self.vertices) > self.K:
-            raise ValueError("confidence set larger than K")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
 
 
 class MaxDegree(NamedTuple):
@@ -165,14 +144,14 @@ def centroid(t: Tree) -> set:
     return {int(v) for v in np.nonzero(bw == bw.min())[0]}
 
 
-def root_confidence_set(t: Tree, K: int, epsilon: float | None = None) -> ConfidenceSet:
-    """The K vertices of smallest branch weight, ties broken by vertex id."""
+def root_confidence_set(t: Tree, K: int) -> np.ndarray:
+    """The K vertices of smallest branch weight, ties broken by vertex id,
+    as a read-only int64 array in that order (all n vertices if K > n)."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    bw = branch_weights(t)
-    order = np.lexsort((np.arange(t.n), bw))
-    picked = order[:min(K, t.n)]
-    return ConfidenceSet(vertices=tuple(int(v) for v in picked), K=K, epsilon=epsilon)
+    picked = np.lexsort((np.arange(t.n), branch_weights(t)))[:K]
+    picked.setflags(write=False)
+    return picked
 
 
 def required_k(model: str, epsilon: float, c: float = 1.0) -> int:

@@ -21,7 +21,7 @@ from scipy import stats
 from conftest import ACCEPTANCE_LINES
 from netinfer import geom, sbm, trees, urns
 from netinfer.graphcore import RngStream
-from netinfer.harness import ks_distance, power_from_samples, replicate
+from netinfer.harness import ks_distance, power_from_samples, replicate, two_arm
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -132,7 +132,7 @@ def test_triangle_moments_monte_carlo():
     for p in (0.3, 0.5, 0.7):
         vals = replicate(
             lambda s, pp=p: float(geom.triangle_count(geom.sample_er(n, pp, s))),
-            R, rng, jobs=4)
+            R, rng)
         closed = geom.triangle_moments_er(n, p)
         dev_mean = abs(vals.mean() - closed.mean) / closed.mean
         dev_var = abs(vals.var(ddof=1) - closed.variance) / closed.variance
@@ -155,7 +155,7 @@ def test_signed_triangle_null_moments():
     rng = RngStream(20260502)
     tau = replicate(
         lambda s: geom.signed_triangle_stat(geom.sample_er(n, 0.5, s), 0.5),
-        R, rng, jobs=4)
+        R, rng)
     target_var = math.comb(n, 3) * 0.5 ** 3 * 0.5 ** 3
     se = tau.std(ddof=1) / math.sqrt(R)
     dev_var = abs(tau.var(ddof=1) - target_var) / target_var
@@ -175,14 +175,10 @@ def test_detection_power_by_regime():
     R = 1000
 
     def arms(n, p, d, seed):
-        rng = RngStream(seed)
-        null_v = replicate(
+        return power_from_samples(*two_arm(
             lambda s: geom.signed_triangle_stat(geom.sample_er(n, p, s), p),
-            R, rng, jobs=4)
-        alt_v = replicate(
             lambda s: geom.signed_triangle_stat(geom.sample_rgg(n, p, d, s), p),
-            R, rng.substream(R), jobs=4)
-        return power_from_samples(null_v, alt_v)
+            R, RngStream(seed)))
 
     low = arms(64, 0.5, 2, 20260503)
     high = arms(16, 0.5, 10 * 16**3, 20260504)
@@ -201,14 +197,11 @@ def test_wishart_matches_geometric_law():
     at 1e3 replicas per arm."""
     start = time.time()
     R, n, d = 1000, 32, 64
-    rng = RngStream(11)
-    w_tau = replicate(
+    w_tau, g_tau = two_arm(
         lambda s: geom.signed_triangle_stat(
             geom.h_map(geom.sample_wishart(n, d, rng=s)), 0.5),
-        R, rng, jobs=4)
-    g_tau = replicate(
         lambda s: geom.signed_triangle_stat(geom.sample_rgg(n, 0.5, d, s), 0.5),
-        R, rng.substream(R), jobs=4)
+        R, RngStream(11))
     ks = ks_distance(w_tau, g_tau)
     elapsed = time.time() - start
     _report("Wishart graph vs sphere graph tau law",

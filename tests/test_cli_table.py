@@ -246,6 +246,32 @@ def test_geom_dimest_record_equals_library(capsys):
     assert res["stat_value"] == geom.signed_triangle_stat(target, 0.5)
 
 
+def test_geom_calibrate_record_and_table_equal_library(capsys, tmp_path):
+    # the CLI names the PowerReport fields of calibrate_tau for the table
+    table = tmp_path / "cal.json"
+    res = record(capsys, "geom", "calibrate", "--n", "16", "--p", "0.5",
+                 "--d", "3", "--replicas", "100", "--seed", "5",
+                 "--table", str(table))["result"]
+    report = geom.calibrate_tau(16, 0.5, 3, 100, RngStream(5))
+    entry = {"mean_er": report.mean_null, "mean_geo": report.mean_alt,
+             "sd_er": report.sd_null, "sd_geo": report.sd_alt,
+             "tau_threshold": report.threshold, "statistic": "tau",
+             "replicas": 100, "seed": 5}
+    assert res["calibration"] == entry
+    assert json.loads(table.read_text()) == {"16,0.5,3": entry}
+
+
+def test_geom_sparse_record_equals_library(capsys):
+    res = record(capsys, "geom", "sparse", "--n", "400", "--c", "3",
+                 "--d", "2", "--replicas", "50", "--seed", "9")["result"]
+    report = geom.sparse_triangle_experiment(400, 3.0, 2, 50, RngStream(9))
+    expect = {"n": 400, "c": 3.0, "d": 2, "mean_T_er": report.mean_null,
+              "mean_T_geo": report.mean_alt, "power": report.power,
+              "size": report.size, "threshold": report.threshold,
+              "statistic": "triangle-count"}
+    assert {k: res[k] for k in expect} == expect
+
+
 def test_wishart_compare_record_equals_library(capsys):
     res = record(capsys, "wishart", "compare", "--n", "8", "--d", "16",
                  "--stat", "tau", "--replicas", "100", "--seed", "9")["result"]

@@ -8,8 +8,6 @@ from scipy.special import betainc, betaincinv
 
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
 from netinfer.geom import (
-    GaussianMatrix,
-    SpherePoints,
     calibrate_tau,
     detect_geometry,
     estimate_dimension,
@@ -27,6 +25,7 @@ from netinfer.geom import (
     triangle_moments_er,
     _bartlett,
     _dense_er,
+    _dense_rgg,
     _draw_entries,
     _rgg_circle,
 )
@@ -39,15 +38,16 @@ from netinfer.harness import ks_distance, ks_distance_cdf
 
 def test_sphere_points_are_unit_norm():
     pts = sample_sphere(500, 7, RngStream(1, 0))
-    norms = np.linalg.norm(pts.coords, axis=1)
+    norms = np.linalg.norm(pts, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
-    assert pts.n == 500 and pts.d == 7
+    assert pts.shape == (500, 7)
+    assert pts.dtype == np.float64 and not pts.flags.writeable
 
 
 def test_sphere_d3_first_coordinate_uniform():
     # on S^2 each coordinate is uniform on [-1, 1]
     pts = sample_sphere(100_000, 3, RngStream(2, 0))
-    x = pts.coords[:, 0]
+    x = pts[:, 0]
     d = ks_distance_cdf(x, lambda v: np.clip((v + 1.0) / 2.0, 0.0, 1.0))
     assert d < 0.01
 
@@ -55,7 +55,7 @@ def test_sphere_d3_first_coordinate_uniform():
 def test_sphere_high_dim_inner_products():
     d = 100
     pts = sample_sphere(20_000, d, RngStream(3, 0))
-    prods = (pts.coords[0::2] * pts.coords[1::2]).sum(axis=1)  # 10^4 pairs
+    prods = (pts[0::2] * pts[1::2]).sum(axis=1)  # 10^4 pairs
     assert_mean_close(prods, 0.0)
     assert_rel_close(prods.var(ddof=1), 1.0 / d, 0.08)
 
@@ -186,7 +186,7 @@ def test_rgg_circle_path_matches_dense_rule():
     pts = sample_sphere(4200, 2, RngStream(11, 0))
     g = rgg_from_points(pts, 0.3)  # 2.6e6 expected edges: dense Gram path
     t = threshold(0.3, 2)
-    gram = pts.coords @ pts.coords.T
+    gram = pts @ pts.T
     adj = np.triu(gram >= t, 1)
     assert (g.adj == (adj | adj.T)).all()
 
@@ -194,8 +194,8 @@ def test_rgg_circle_path_matches_dense_rule():
 def test_rgg_circle_helper_direct():
     pts = sample_sphere(300, 2, RngStream(12, 0))
     t = threshold(0.25, 2)
-    g = _rgg_circle(pts.coords, t)
-    gram = pts.coords @ pts.coords.T
+    g = _rgg_circle(pts, t)
+    gram = pts @ pts.T
     adj = np.triu(gram >= t, 1)
     assert (g.to_dense() == (adj | adj.T)).all()
 
@@ -316,15 +316,15 @@ def test_triangle_moments_short_monte_carlo():
 def test_wishart_shapes_and_symmetry():
     for kind in ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag"):
         w = sample_wishart(12, 30, kind=kind, rng=RngStream(17, 0))
-        assert w.values.shape == (12, 12)
-        assert (w.values == w.values.T).all()
-        assert w.kind == kind
+        assert w.shape == (12, 12)
+        assert (w == w.T).all()
+        assert w.dtype == np.float64 and not w.flags.writeable
 
 
 def test_wishart_positive_semidefinite():
     for i in range(100):
         w = sample_wishart(10, 20, rng=RngStream(18, i))
-        assert np.linalg.eigvalsh(w.values).min() >= -1e-9
+        assert np.linalg.eigvalsh(w).min() >= -1e-9
 
 
 def test_wishart_scaled_offdiag_moments():
@@ -332,9 +332,9 @@ def test_wishart_scaled_offdiag_moments():
     for i in range(30):
         w = sample_wishart(20, 10_000, kind="wishart_scaled_nodiag",
                            rng=RngStream(19, i))
-        assert (np.diag(w.values) == 0.0).all()
+        assert (np.diag(w) == 0.0).all()
         iu = np.triu_indices(20, 1)
-        vals.append(w.values[iu])
+        vals.append(w[iu])
     vals = np.concatenate(vals)
     assert_mean_close(vals, 0.0)
     assert_rel_close(vals.var(ddof=1), 1.0, 0.08)
@@ -344,7 +344,7 @@ def test_goe_shifted_diagonal_centered_at_d():
     d = 400
     diags = np.concatenate([
         np.diag(sample_wishart(25, d, kind="goe_shifted",
-                               rng=RngStream(20, i)).values)
+                               rng=RngStream(20, i)))
         for i in range(200)])
     assert_mean_close(diags, float(d))
     assert_rel_close(diags.var(ddof=1), 2.0 * d, 0.1)
@@ -353,11 +353,11 @@ def test_goe_shifted_diagonal_centered_at_d():
 def test_entry_distributions():
     w = sample_wishart(80, 1, kind="goe_nodiag", entry_dist="rademacher",
                        rng=RngStream(21, 0))
-    off = w.values[np.triu_indices(80, 1)]
+    off = w[np.triu_indices(80, 1)]
     assert set(np.unique(off)) <= {-1.0, 1.0}
     w = sample_wishart(80, 1, kind="goe_nodiag", entry_dist="uniform-scaled",
                        rng=RngStream(21, 1))
-    off = w.values[np.triu_indices(80, 1)]
+    off = w[np.triu_indices(80, 1)]
     assert np.abs(off).max() <= math.sqrt(3.0) + 1e-12
     assert_rel_close(off.var(ddof=1), 1.0, 0.1)
 
@@ -427,7 +427,7 @@ def test_bartlett_path_matches_direct_law(n, d):
     for i in range(_R):
         s = base.substream(i)
         fast.append(stats(sample_rgg(n, 0.5, d, s),
-                          sample_wishart(n, d, rng=s).values,
+                          sample_wishart(n, d, rng=s),
                           sample_wishart(n, d, kind="wishart_scaled_nodiag",
                                          rng=s)))
     direct = []
@@ -437,9 +437,9 @@ def test_bartlett_path_matches_direct_law(n, d):
         W = Y @ Y.T
         A = W - np.diag(np.diag(W))
         # the points sample_sphere(n, d, s) draws, from the same Y
-        points = SpherePoints(Y / np.linalg.norm(Y, axis=1, keepdims=True))
+        points = Y / np.linalg.norm(Y, axis=1, keepdims=True)
         if i == 0:
-            assert (points.coords == sample_sphere(n, d, s).coords).all()
+            assert (points == sample_sphere(n, d, s)).all()
         direct.append(stats(rgg_from_points(points, 0.5), W, A / math.sqrt(d)))
     fast, direct = np.array(fast), np.array(direct)
     for k in range(fast.shape[1]):
@@ -462,8 +462,9 @@ def test_wishart_path_follows_entry_law_and_dimension(n, d, entry_dist, bartlett
         Y = _draw_entries(s.generator(), (n, d), entry_dist)
         expect = Y @ Y.T
     w = sample_wishart(n, d, entry_dist=entry_dist, rng=s)
-    assert (w.values == (expect + expect.T) / 2.0).all()
-    assert np.linalg.matrix_rank(w.values) == min(n, d)
+    assert (w == (expect + expect.T) / 2.0).all()
+    assert np.linalg.matrix_rank(w) == min(n, d)
+    assert w.dtype == np.float64 and not w.flags.writeable
 
 
 @pytest.mark.parametrize("n,d,bartlett", [(20, 3, False), (20, 19, False),
@@ -474,7 +475,7 @@ def test_rgg_path_follows_dimension(n, d, bartlett):
         X = _bartlett(n, d, s.generator())
         X /= np.linalg.norm(X, axis=1, keepdims=True)
     else:
-        X = sample_sphere(n, d, s).coords
+        X = sample_sphere(n, d, s)
     adj = np.triu(X @ X.T >= threshold(0.4, d), 1)
     assert (sample_rgg(n, 0.4, d, s).adj == (adj | adj.T)).all()
 
@@ -494,6 +495,24 @@ def test_skip_er_matches_dense_mask_law(n, p, reps):
         graphs = [draw(n, p, base.substream(k * reps + i).generator())
                   for i in range(reps)]
         assert all((g.adj is not None) == (draw is _dense_er) for g in graphs)
+        arms.append(np.array([(g.m, triangle_count(g)) for g in graphs]))
+    for col in range(2):
+        assert ks_distance(arms[0][:, col], arms[1][:, col]) < crit, col
+
+
+@pytest.mark.parametrize("n,p,reps", [(40, 0.3, _R), (300, 0.01, 1000),
+                                      (1200, 3e-3, 200)])
+def test_rgg_circle_matches_dense_gram_law(n, p, reps):
+    """The sorted-angle and dense Gram G(n, p, 2) have the same edge and
+    triangle count laws, each rule on its own sample_sphere draws."""
+    base = RngStream(46, n)
+    t = threshold(p, 2)
+    crit = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2.0 / reps)
+    arms = []
+    for k, build in enumerate((lambda x: _dense_rgg(x @ x.T, t),
+                               lambda x: _rgg_circle(x, t))):
+        graphs = [build(sample_sphere(n, 2, base.substream(k * reps + i)))
+                  for i in range(reps)]
         arms.append(np.array([(g.m, triangle_count(g)) for g in graphs]))
     for col in range(2):
         assert ks_distance(arms[0][:, col], arms[1][:, col]) < crit, col
@@ -519,7 +538,7 @@ def test_h_map_all_positive_gives_complete_graph():
 def test_h_map_scale_invariant():
     w = sample_wishart(20, 30, rng=RngStream(25, 0))
     a = h_map(w)
-    b = h_map(3.7 * w.values)
+    b = h_map(3.7 * w)
     assert (a.adj == b.adj).all()
 
 
@@ -574,8 +593,8 @@ def test_calibrate_tau_requires_replicas():
 
 def test_calibrate_tau_null_mean_zero():
     cal = calibrate_tau(30, 0.5, 9, 200, RngStream(29, 0))
-    se = cal.sd_er / math.sqrt(200)
-    assert abs(cal.mean_er) <= 3 * se
+    se = cal.sd_null / math.sqrt(200)
+    assert abs(cal.mean_null) <= 3 * se
 
 
 def test_calibrate_tau_variance_bound():
@@ -583,7 +602,7 @@ def test_calibrate_tau_variance_bound():
     cal = calibrate_tau(n, p, d, 300, RngStream(30, 0))
     bound = n ** 3 + 3 * n ** 4 / d
     # one-sided chi^2 fluctuation of the sample variance at 300 replicas
-    assert cal.sd_geo ** 2 <= bound * 1.25
+    assert cal.sd_alt ** 2 <= bound * 1.25
 
 
 def test_detection_low_dimension_separates():
@@ -591,11 +610,11 @@ def test_detection_low_dimension_separates():
     cal = calibrate_tau(n, 0.5, 2, reps, RngStream(31, 0))
     hits = sum(
         detect_geometry(sample_rgg(n, 0.5, 2, RngStream(31, 0).substream(2 * reps + i)),
-                        n, 0.5, cal.tau_threshold).verdict == "geometric"
+                        n, 0.5, cal.threshold).verdict == "geometric"
         for i in range(200))
     false = sum(
         detect_geometry(sample_er(n, 0.5, RngStream(32, i)),
-                        n, 0.5, cal.tau_threshold).verdict == "geometric"
+                        n, 0.5, cal.threshold).verdict == "geometric"
         for i in range(200))
     assert hits / 200 >= 0.95
     assert false / 200 <= 0.05
@@ -647,15 +666,15 @@ def test_tau_mean_rescaled_constant():
 def test_calibration_consistent_with_quadrature():
     n, d = 50, 100
     cal = calibrate_tau(n, 0.5, d, 300, RngStream(34, 0))
-    se = cal.sd_geo / math.sqrt(300)
-    assert abs(cal.mean_geo - _tau_mean_quadrature(n, d)) <= 3 * se
+    se = cal.sd_alt / math.sqrt(300)
+    assert abs(cal.mean_alt - _tau_mean_quadrature(n, d)) <= 3 * se
 
 
 # ------------------------------------------------- dimension estimate
 
 
 def _calibration_table(n, p, cands, replicas, rng):
-    return {d: calibrate_tau(n, p, d, replicas, rng.substream(97 * i)).mean_geo
+    return {d: calibrate_tau(n, p, d, replicas, rng.substream(97 * i)).mean_alt
             for i, d in enumerate(cands)}
 
 
@@ -720,7 +739,7 @@ def test_sparse_triangle_mean_matches_formula():
     n, c = 1000, 5.0
     res = sparse_triangle_experiment(n, c, 2, 300, RngStream(41, 0))
     exact = math.comb(n, 3) * (c / n) ** 3  # ~ c^3/6 for large n
-    assert_rel_close(res.mean_T_er, exact, 0.05)
+    assert_rel_close(res.mean_null, exact, 0.05)
     assert abs(exact - c ** 3 / 6.0) / (c ** 3 / 6.0) <= 3.0 / n
 
 
@@ -728,7 +747,7 @@ def test_sparse_triangle_low_dim_power():
     res = sparse_triangle_experiment(10_000, 5.0, 2, 300, RngStream(42, 0))
     assert res.power >= 0.9
     assert 0.0 <= res.size <= 1.0
-    assert res.mean_T_geo > res.mean_T_er
+    assert res.mean_alt > res.mean_null
 
 
 def test_sparse_triangle_validation():

@@ -20,7 +20,6 @@ from oracles import ahu_signature, psi
 from netinfer.graphcore import RngStream, Tree, parse_edge_list, serialize_edge_list
 from netinfer.harness import ks_distance_cdf
 from netinfer.trees import (
-    ConfidenceSet,
     branch_weights,
     centroid,
     fixed_vertex_degree_scaling,
@@ -183,12 +182,12 @@ def test_centroid_weight_bound():
 
 
 def test_confidence_set_examples():
-    assert root_confidence_set(path(5), 1).vertices == (2,)
-    assert root_confidence_set(star(5), 3).vertices == (0, 1, 2)
+    assert root_confidence_set(path(5), 1).tolist() == [2]
+    assert root_confidence_set(star(5), 3).tolist() == [0, 1, 2]
     conf = root_confidence_set(path(4), 10)
-    assert conf.vertices == (1, 2, 0, 3)
-    assert conf.K == 10
+    assert conf.tolist() == [1, 2, 0, 3]
     assert 3 in conf and 4 not in conf
+    assert conf.dtype == np.int64 and not conf.flags.writeable
 
 
 def test_confidence_set_heads_are_centroid():
@@ -196,7 +195,7 @@ def test_confidence_set_heads_are_centroid():
         t = grow("ua" if r % 2 else "pa", 40 + r, RngStream(700 + r)).tree
         c = centroid(t)
         conf = root_confidence_set(t, len(c))
-        assert set(conf.vertices) == c
+        assert set(conf.tolist()) == c
 
 
 def test_confidence_set_ordering():
@@ -204,10 +203,10 @@ def test_confidence_set_ordering():
         t = grow("pa", 60, RngStream(800 + r)).tree
         bw = branch_weights(t)
         conf = root_confidence_set(t, 15)
-        picked = bw[list(conf.vertices)]
+        picked = bw[conf]
         assert all(a <= b for a, b in zip(picked, picked[1:]))
-        for (u, wu), (v, wv) in zip(zip(conf.vertices, picked),
-                                    zip(conf.vertices[1:], picked[1:])):
+        for (u, wu), (v, wv) in zip(zip(conf, picked),
+                                    zip(conf[1:], picked[1:])):
             if wu == wv:
                 assert u < v
 
@@ -215,12 +214,6 @@ def test_confidence_set_ordering():
 def test_confidence_set_validation():
     with pytest.raises(ValueError, match="K must be at least 1"):
         root_confidence_set(path(4), 0)
-    with pytest.raises(ValueError, match="K must be at least 1"):
-        ConfidenceSet(vertices=(), K=0)
-    with pytest.raises(ValueError, match="confidence set larger than K"):
-        ConfidenceSet(vertices=(0, 1), K=1)
-    with pytest.raises(ValueError, match="epsilon must lie in"):
-        ConfidenceSet(vertices=(0,), K=1, epsilon=1.0)
 
 
 def test_required_k_values():
