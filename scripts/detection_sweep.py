@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from netinfer.geom import sample_er, sample_rgg, signed_triangle_stat
+from netinfer.geom import graph_replica
 from netinfer.graphcore import RngStream
 from netinfer.harness import power_from_samples, two_arm
 
@@ -32,9 +32,8 @@ def main() -> int:
     rows = []
     for i, d in enumerate(dims):
         report = power_from_samples(*two_arm(
-            lambda s: signed_triangle_stat(sample_er(args.n, args.p, s), args.p),
-            lambda s, dd=d: signed_triangle_stat(
-                sample_rgg(args.n, args.p, dd, s), args.p),
+            graph_replica(args.n, args.p, "tau"),
+            graph_replica(args.n, args.p, "tau", d),
             args.replicas, rng.substream(2 * args.replicas * i)))
         rows.append({"d": d, "power": report.power, "size": report.size,
                      "separation": report.power - report.size,

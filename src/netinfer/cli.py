@@ -226,23 +226,12 @@ def _model_arms(args, pair: str, stat: str) -> tuple:
     GOE and Wishart kinds that the statistic compares."""
     n, p, d = args.n, getattr(args, "p", None), args.d
     if pair == "geom":
-        statistic = {"tau": lambda g: geom.signed_triangle_stat(g, p),
-                     "t": lambda g: float(geom.triangle_count(g))}[stat]
-        return (lambda s: statistic(geom.sample_er(n, p, s)),
-                lambda s: statistic(geom.sample_rgg(n, p, d, s)),
-                stat, "er", "rgg")
+        return (geom.graph_replica(n, p, stat),
+                geom.graph_replica(n, p, stat, d), stat, "er", "rgg")
     kinds = {"tr3": ("goe_nodiag", "wishart_scaled_nodiag"),
              "tau": ("goe_shifted", "wishart")}[stat]
-
-    def arm(kind):
-        def draw(s):
-            w = geom.sample_wishart(n, d, entry_dist=args.entry_dist,
-                                    kind=kind, rng=s)
-            if stat == "tr3":
-                return geom.tr_cubed(w)
-            return geom.signed_triangle_stat(geom.h_map(w), 0.5)
-        return draw
-    return arm(kinds[0]), arm(kinds[1]), stat, *kinds
+    return (*(geom.matrix_replica(n, d, args.entry_dist, kind, stat)
+              for kind in kinds), stat, *kinds)
 
 
 def _power_fields(null_vals, alt_vals) -> dict:
@@ -455,10 +444,8 @@ def _run_geom_dimest(args) -> tuple:
         if key in table:
             means[cand] = float(table[key]["mean_geo"])
             continue
-        vals = replicate(
-            lambda s, dd=cand: geom.signed_triangle_stat(
-                geom.sample_rgg(n, p, dd, s), p),
-            replicas, rng.substream(idx * replicas), jobs=args.jobs)
+        vals = replicate(geom.graph_replica(n, p, "tau", cand), replicas,
+                         rng.substream(idx * replicas), jobs=args.jobs)
         means[cand] = float(vals.mean())
         computed = True
         table[key] = {"statistic": "tau", "mean_geo": means[cand],
@@ -494,9 +481,9 @@ def _run_wishart_sample(args) -> tuple:
     replicas, csv = args.replicas, args.csv
     params = {"n": args.n, "d": args.d, "kind": args.kind,
               "entry_dist": args.entry_dist}
-    vals = replicate(
-        lambda s: geom.tr_cubed(geom.sample_wishart(rng=s, **params)),
-        replicas, RngStream(args.seed), jobs=args.jobs)
+    vals = replicate(geom.matrix_replica(args.n, args.d, args.entry_dist,
+                                         args.kind, "tr3"),
+                     replicas, RngStream(args.seed), jobs=args.jobs)
     if csv is not None:
         _write(csv, _csv(f"tr_cubed,{args.kind}", vals.tolist()))
     sd = float(vals.std(ddof=1)) if replicas > 1 else None
@@ -610,15 +597,16 @@ def _run_tree_root(args) -> tuple:
     epsilon, seed_tree = args.epsilon, _parse_seed_tree(args.seed_tree)
     if args.k_set is not None:
         K = args.k_set
+        if epsilon is not None and not 0.0 < epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
     elif epsilon is not None:
         K = trees.required_k(args.model, epsilon, c=args.c)
     else:
         raise UsageError("need --epsilon or --k-set")
     report = trees.root_finding_success(args.model, args.n, K, args.replicas,
                                         RngStream(args.seed),
-                                        scoring=args.scoring, seed=seed_tree,
-                                        epsilon=epsilon)
-    result = {**report._asdict(), "scoring": args.scoring}
+                                        scoring=args.scoring, seed=seed_tree)
+    result = {**report._asdict(), "epsilon": epsilon, "scoring": args.scoring}
     if args.k_set is None:  # the bound belongs to the K derived from epsilon
         ua = report.model == "ua"
         result["coverage_bound"] = (1.0 - 4.0 * epsilon / (1.0 - epsilon)

@@ -17,6 +17,13 @@ it pays for the expected edge count; otherwise G(n, p) is drawn by
 geometric skipping over the pairs and G(n, p, d) from sorted angles
 (d = 2) or row-chunked Gram products, so cost follows the edge count.
 
+Monte Carlo replicas come from graph_replica and matrix_replica.  Where
+the graph or matrix is dense these are harness.Batched: a stacked kernel
+draws a block of replicas, each from its own substream, and scores the
+block with stacked matrix products.  The single-graph samplers and
+statistics run the same kernels on a block of one, so both paths give the
+same bits.
+
 Sphere points and matrix ensembles come back as read-only float64 arrays.
 The two-arm experiments return harness.PowerReport with G(n, p) as the
 null and G(n, p, d) as the alternative.
@@ -27,14 +34,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .graphcore import (Graph, RngStream, bernoulli_pairs, check_dense,
-                        prefers_dense, sparse_adjacency)
-from .harness import PowerReport, power_from_samples, two_arm
+from .graphcore import (DENSE_BYTES_LIMIT, Graph, RngStream, bernoulli_pairs,
+                        check_dense, prefers_dense, sparse_adjacency)
+from .harness import Batched, PowerReport, power_from_samples, two_arm
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
 ENTRY_DISTS = ("gaussian", "uniform-scaled", "rademacher")
@@ -59,16 +66,9 @@ def sample_sphere(n: int, d: int, rng: RngStream) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     check_dense(n, 8, "the sphere point matrix", d)
-    gen = rng.generator()
-    raw = gen.standard_normal((n, d))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    while (norms == 0.0).any():
-        bad = norms[:, 0] == 0.0
-        raw[bad] = gen.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    raw /= norms
-    raw.setflags(write=False)
-    return raw
+    points = _sphere_stack(n, d, (rng.generator(),))[0]
+    points.setflags(write=False)
+    return points
 
 
 # Every sample_rgg call of a Monte Carlo loop asks for the same (p, d), and
@@ -103,7 +103,7 @@ def rgg_from_points(coords: np.ndarray, p: float) -> Graph:
     t = threshold(p, d)
     if prefers_dense(n, p * n * (n - 1) / 2):
         check_dense(n, 8, "the Gram matrix")
-        return _dense_rgg(coords @ coords.T, t)
+        return Graph._trusted(_dense_rgg(coords @ coords.T, t))
     if d == 2 and t > 0.0:
         return _rgg_circle(coords, t)
     return Graph.from_edges(n, _edges_by_chunks(coords, t))
@@ -118,10 +118,7 @@ def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
     drawn.
     """
     if 0 < n <= d and prefers_dense(n, p * n * (n - 1) / 2):
-        t = threshold(p, d)
-        L = _bartlett(n, d, rng.generator())
-        L /= np.linalg.norm(L, axis=1, keepdims=True)
-        return _dense_rgg(L @ L.T, t)
+        return Graph._trusted(_rgg_stack(n, p, d, (rng.generator(),))[0])
     return rgg_from_points(sample_sphere(n, d, rng), p)
 
 
@@ -135,7 +132,8 @@ def sample_er(n: int, p: float, rng: RngStream) -> Graph:
         raise ValueError("n must be positive")
     gen = rng.generator()
     if prefers_dense(n, p * n * (n - 1) / 2):
-        return _dense_er(n, p, gen)
+        check_dense(n, 8, "G(n, p)")
+        return Graph._trusted(_er_stack(n, p, (gen,))[0])
     return Graph._from_sorted_edges(n, bernoulli_pairs(n, p, gen))
 
 
@@ -149,8 +147,7 @@ def triangle_count(g: Graph) -> int:
     n = g.n
     if prefers_dense(n, g.m):
         check_dense(n, 4, "the triangle count")
-        a = g.to_dense().astype(np.float32)
-        return int(round(float(((a @ a) * a).sum(dtype=np.float64)) / 6.0))
+        return int(_triangles(g.to_dense()))
     if g.m == 0:
         return 0
     A = sparse_adjacency(g)
@@ -163,9 +160,7 @@ def signed_triangle_stat(g: Graph, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     check_dense(g.n, 8, "the signed triangle statistic")
-    B = g.to_dense().astype(np.float64) - p
-    np.fill_diagonal(B, 0.0)
-    return float(((B @ B) * B).sum()) / 6.0
+    return float(_tau(g.to_dense(), p))
 
 
 def triangle_moments_er(n: int, p: float) -> TriangleMoments:
@@ -207,28 +202,7 @@ def sample_wishart(n: int, d: int, entry_dist: str = "gaussian",
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     check_dense(n, 8, f"the {kind} matrix")
-    gen = rng.generator()
-    if kind in ("wishart", "wishart_scaled_nodiag"):
-        if entry_dist == "gaussian" and d >= n:
-            L = _bartlett(n, d, gen)
-            W = L @ L.T
-        else:
-            check_dense(n, 8, "the entry matrix", d)
-            Y = _draw_entries(gen, (n, d), entry_dist)
-            W = Y @ Y.T
-        W = (W + W.T) / 2.0
-        if kind == "wishart_scaled_nodiag":
-            np.fill_diagonal(W, 0.0)
-            W /= math.sqrt(d)
-    else:
-        flat = _draw_entries(gen, (n, n), entry_dist)
-        M = np.triu(flat, 1)
-        M = M + M.T
-        if kind == "goe_shifted":
-            np.fill_diagonal(M, math.sqrt(2.0) * _draw_entries(gen, (n,), entry_dist))
-            W = math.sqrt(d) * M + d * np.eye(n)
-        else:
-            W = M
+    W = _wishart_stack(n, d, entry_dist, kind, (rng.generator(),))[0]
     W.setflags(write=False)
     return W
 
@@ -244,15 +218,67 @@ def h_map(w: np.ndarray) -> Graph:
         raise ValueError("need a square matrix")
     if not np.array_equal(values, values.T):
         raise ValueError("matrix must be symmetric")
-    adj = values >= 0.0
-    np.fill_diagonal(adj, False)
-    return Graph._trusted(adj)
+    return Graph._trusted(_signs(values))
 
 
 def tr_cubed(w: np.ndarray) -> float:
     """Trace of the matrix cube."""
-    V = np.asarray(w, dtype=np.float64)
-    return float(((V @ V) * V.T).sum())
+    return float(_tr3(np.asarray(w, dtype=np.float64)))
+
+
+def graph_replica(n: int, p: float, stat: str,
+                  d: int | None = None) -> Callable[[RngStream], float]:
+    """Replica function of a detection experiment: the statistic ("tau" or
+    "t", the triangle count) of one G(n, p), or of one G(n, p, d) when d
+    is given, drawn from the replica's stream.
+
+    Where the graph takes the dense store it is a harness.Batched whose
+    stacked kernel draws and scores whole blocks of replicas, with the
+    values of the single-graph functions.
+    """
+    score, stack_score = {
+        "tau": (lambda g: signed_triangle_stat(g, p), lambda a: _tau(a, p)),
+        "t": (lambda g: float(triangle_count(g)), _triangles),
+    }[stat]
+    if d is None:
+        def one(s): return score(sample_er(n, p, s))
+        def draw(gens): return _er_stack(n, p, gens)
+    else:
+        def one(s): return score(sample_rgg(n, p, d, s))
+        def draw(gens): return _rgg_stack(n, p, d, gens)
+    if not (0.0 < p < 1.0 and (d is None or d >= 2) and _stack_fits(n)
+            and prefers_dense(n, p * n * (n - 1) / 2)):
+        return one
+    return Batched(one, lambda gens: stack_score(draw(gens)), 8 * n * n)
+
+
+def matrix_replica(n: int, d: int, entry_dist: str, kind: str,
+                   stat: str) -> Callable[[RngStream], float]:
+    """Replica function of a matrix experiment: the statistic ("tr3",
+    tr(W^3), or "tau" of h_map(W) at p = 1/2) of one sample_wishart
+    matrix drawn from the replica's stream.
+
+    For the GOE kinds, and the Wishart kinds with gaussian entries and
+    d >= n (Bartlett), it is a harness.Batched whose stacked kernel draws
+    and scores whole blocks of replicas, with the values of the
+    single-matrix functions.
+    """
+    score, stack_score = {
+        "tr3": (tr_cubed, _tr3),
+        "tau": (lambda w: signed_triangle_stat(h_map(w), 0.5),
+                lambda w: _tau(_signs(w), 0.5)),
+    }[stat]
+
+    def one(s):
+        return score(sample_wishart(n, d, entry_dist=entry_dist, kind=kind,
+                                    rng=s))
+    bartlett = (kind in ("wishart", "wishart_scaled_nodiag")
+                and entry_dist == "gaussian" and d >= n)
+    if not (entry_dist in ENTRY_DISTS and d >= 1 and _stack_fits(n)
+            and (kind in ("goe_shifted", "goe_nodiag") or bartlett)):
+        return one
+    return Batched(one, lambda gens: stack_score(
+        _wishart_stack(n, d, entry_dist, kind, gens)), 8 * n * n)
 
 
 def detect_geometry(g: Graph, n: int, p: float, tau_threshold: float) -> DetectionResult:
@@ -276,8 +302,7 @@ def calibrate_tau(n: int, p: float, d: int, replicas: int,
     if replicas < 100:
         raise ValueError("need at least 100 replicas for calibration")
     return power_from_samples(*two_arm(
-        lambda s: signed_triangle_stat(sample_er(n, p, s), p),
-        lambda s: signed_triangle_stat(sample_rgg(n, p, d, s), p),
+        graph_replica(n, p, "tau"), graph_replica(n, p, "tau", d),
         replicas, rng))
 
 
@@ -314,12 +339,61 @@ def sparse_triangle_experiment(n: int, c: float, d: int, replicas: int,
         raise ValueError("need at least two replicas")
     p = c / n
     return power_from_samples(*two_arm(
-        lambda s: float(triangle_count(sample_er(n, p, s))),
-        lambda s: float(triangle_count(sample_rgg(n, p, d, s))),
+        graph_replica(n, p, "t"), graph_replica(n, p, "t", d),
         replicas, rng))
 
 
-def _bartlett(n: int, d: int, gen: np.random.Generator) -> np.ndarray:
+def _stack_fits(n: int) -> bool:
+    """Whether an n x n float64 matrix per replica passes check_dense."""
+    return 1 <= n and 8 * n * n <= DENSE_BYTES_LIMIT
+
+
+# Stacked kernels.  A sampler takes a sized iterable of generators, one per
+# replica (a tuple of one for the single-graph functions above, a
+# graphcore.SubstreamGenerators block under harness.replicate), draws each
+# replica from its own generator in the order of the single-graph code, and
+# returns a (replicas, n, n) array.  A statistic maps a stack of matrices
+# (or one matrix) to one value per matrix with the arithmetic of the
+# single-graph code, so a block gives bit for bit the values of its
+# replicas computed one at a time.
+
+
+def _er_stack(n: int, p: float, gens) -> np.ndarray:
+    """Dense G(n, p) adjacency matrices from n x n uniform masks."""
+    u = np.empty((len(gens), n, n))
+    for out, gen in zip(u, gens):
+        gen.random(out=out)
+    return _symmetrize(u < p)
+
+
+def _rgg_stack(n: int, p: float, d: int, gens) -> np.ndarray:
+    """Dense G(n, p, d) adjacency matrices: Gram matrices by Bartlett for
+    n <= d, of drawn sphere points otherwise."""
+    t = threshold(p, d)
+    if n <= d:
+        X = _bartlett_stack(n, d, gens)
+        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+    else:
+        X = _sphere_stack(n, d, gens)
+    return _dense_rgg(X @ X.swapaxes(-1, -2), t)
+
+
+def _sphere_stack(n: int, d: int, gens) -> np.ndarray:
+    """n uniform points on S^{d-1} per generator: normalized standard
+    Gaussians, with any all-zero row drawn again."""
+    X = np.empty((len(gens), n, d))
+    for x, gen in zip(X, gens):
+        gen.standard_normal(out=x)
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        while (norms == 0.0).any():
+            bad = norms[:, 0] == 0.0
+            x[bad] = gen.standard_normal((int(bad.sum()), d))
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
+        x /= norms
+    return X
+
+
+def _bartlett_stack(n: int, d: int, gens) -> np.ndarray:
     """Lower-triangular L with L L^T distributed as W(n, d), for d >= n.
 
     Bartlett decomposition: the strictly lower entries are N(0, 1) (drawn
@@ -327,16 +401,100 @@ def _bartlett(n: int, d: int, gen: np.random.Generator) -> np.ndarray:
     draw takes n(n+1)/2 numbers whatever d is.
     """
     check_dense(n, 8, "the Bartlett factor")
-    L = np.zeros((n, n))
-    L[np.tril_indices(n, -1)] = gen.standard_normal(n * (n - 1) // 2)
-    L[np.diag_indices(n)] = np.sqrt(gen.chisquare(d - np.arange(n)))
+    normals = np.empty((len(gens), n * (n - 1) // 2))
+    chi2 = np.empty((len(gens), n))
+    dof = d - np.arange(n)
+    for z, c, gen in zip(normals, chi2, gens):
+        gen.standard_normal(out=z)
+        c[...] = gen.chisquare(dof)
+    L = np.zeros((len(gens), n, n))
+    rows, cols = np.tril_indices(n, -1)
+    L[:, rows, cols] = normals
+    _diagonal(L)[...] = np.sqrt(chi2)
     return L
 
 
-def _dense_rgg(gram: np.ndarray, t: float) -> Graph:
-    adj = np.triu(gram >= t, 1)
-    adj |= adj.T
-    return Graph._trusted(adj)
+def _wishart_stack(n: int, d: int, entry_dist: str, kind: str,
+                   gens) -> np.ndarray:
+    """The matrices of sample_wishart.  Only gaussian Wishart kinds with
+    d >= n and the GOE kinds are stacked; the others draw an n x d entry
+    matrix, which is multiplied out before the next one is drawn."""
+    if kind in ("wishart", "wishart_scaled_nodiag"):
+        if entry_dist == "gaussian" and d >= n:
+            L = _bartlett_stack(n, d, gens)
+            W = L @ L.swapaxes(-1, -2)
+        else:
+            check_dense(n, 8, "the entry matrix", d)
+            W = np.empty((len(gens), n, n))
+            for out, gen in zip(W, gens):
+                Y = _draw_entries(gen, (n, d), entry_dist)
+                out[...] = Y @ Y.T
+        W = (W + W.swapaxes(-1, -2)) / 2.0
+        if kind == "wishart_scaled_nodiag":
+            _diagonal(W)[...] = 0.0
+            W /= math.sqrt(d)
+        return W
+    M = np.empty((len(gens), n, n))
+    D = np.empty((len(gens), n))
+    for flat, diag, gen in zip(M, D, gens):
+        flat[...] = _draw_entries(gen, (n, n), entry_dist)
+        if kind == "goe_shifted":
+            diag[...] = _draw_entries(gen, (n,), entry_dist)
+    M = np.triu(M, 1)
+    M = M + M.swapaxes(-1, -2)
+    if kind == "goe_nodiag":
+        return M
+    _diagonal(M)[...] = math.sqrt(2.0) * D
+    return math.sqrt(d) * M + d * np.eye(n)
+
+
+def _dense_rgg(gram: np.ndarray, t: float) -> np.ndarray:
+    return _symmetrize(gram >= t)
+
+
+def _symmetrize(adj: np.ndarray) -> np.ndarray:
+    """Each boolean matrix cut to its strict upper triangle and mirrored,
+    in place."""
+    adj &= ~np.tri(adj.shape[-1], dtype=bool)
+    adj |= adj.swapaxes(-1, -2)
+    return adj
+
+
+def _signs(w: np.ndarray) -> np.ndarray:
+    """h_map's adjacency: W_ij >= 0 off the diagonal."""
+    adj = w >= 0.0
+    _diagonal(adj)[...] = False
+    return adj
+
+
+def _tau(adj: np.ndarray, p: float) -> np.ndarray:
+    """Signed triangle statistic Tr(B^3)/6 of each adjacency matrix."""
+    B = adj.astype(np.float64) - p
+    _diagonal(B)[...] = 0.0
+    P = B @ B
+    P *= B
+    return P.sum(axis=(-2, -1)) / 6.0
+
+
+def _triangles(adj: np.ndarray) -> np.ndarray:
+    """Triangle count Tr(A^3)/6 of each adjacency matrix, exact in float32
+    products and a float64 sum."""
+    a = adj.astype(np.float32)
+    P = a @ a
+    P *= a
+    return np.rint(P.sum(axis=(-2, -1), dtype=np.float64) / 6.0)
+
+
+def _tr3(V: np.ndarray) -> np.ndarray:
+    """Tr(V^3) of each matrix."""
+    P = V @ V
+    P *= V.swapaxes(-1, -2)
+    return P.sum(axis=(-2, -1))
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each matrix in a."""
+    return np.einsum("...ii->...i", a)
 
 
 def _draw_entries(gen: np.random.Generator, shape, entry_dist: str) -> np.ndarray:
@@ -390,10 +548,3 @@ def _edges_by_chunks(coords: np.ndarray, t: float):
         edges.append(np.column_stack([u + start, v + start]))
     return np.concatenate(edges, axis=0)
 
-
-def _dense_er(n: int, p: float, gen: np.random.Generator) -> Graph:
-    """G(n, p) from an n x n uniform mask, kept as the dense store."""
-    check_dense(n, 8, "G(n, p)")
-    adj = np.triu(gen.random((n, n)) < p, 1)
-    adj |= adj.T
-    return Graph._trusted(adj)

@@ -62,6 +62,40 @@ class RngStream:
         return RngStream(self.seed, self.stream + index)
 
 
+class SubstreamGenerators:
+    """The generators of substreams start .. stop - 1 of rng, in order.
+
+    Iterating re-keys one Philox to (seed, stream + i) with a zero counter
+    for each i in turn, which gives the draws of
+    ``rng.substream(i).generator()`` at about a quarter of its cost.  The
+    same Generator is handed out each time, so use each one up before
+    taking the next.
+    """
+
+    def __init__(self, rng: RngStream, start: int, stop: int):
+        if not 0 <= start < stop:
+            raise ValueError("need 0 <= start < stop")
+        rng.substream(stop - 1)  # raises when a stream id would pass 2^64 - 1
+        self.rng, self.start, self.stop = rng, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __iter__(self):
+        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        gen = np.random.Generator(bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": zeros, "key": None},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        seed, base = self.rng.seed, self.rng.stream
+        for i in range(self.start, self.stop):
+            state["state"]["key"] = np.array([seed, base + i], dtype=np.uint64)
+            bits.state = state
+            yield gen
+
+
 # A dense array is allocated only when it fits in this many bytes; past it
 # the caller gets DenseSizeError at once instead of an out-of-memory kill.
 DENSE_BYTES_LIMIT = 1 << 30

@@ -4,18 +4,27 @@ and power estimation.
 Replication is deterministic: replica i draws from substream i of the
 caller's base stream and reductions run in fixed replica order, so a
 repeated call with the same (seed, replicas) is bit-identical no matter
-how the work is scheduled.
+how the work is scheduled.  A Batched replica function is run in blocks
+of whole replicas whose edges depend only on the replica count and the
+size of one replica, never on the number of workers.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphcore import RngStream
+from .graphcore import RngStream, SubstreamGenerators
+
+# A block of a Batched replica function holds at most this many bytes of
+# per-replica arrays; a replica larger than this is a block of its own.
+# 512 KiB was the fastest cap at --jobs 2 and within noise of the fastest
+# at --jobs 1 for n = 30..64 on a 2-vCPU Xeon; blocks of a few MiB lose
+# more to page faults on their fresh temporaries than they save.
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,24 @@ class PowerReport:
     mean_alt: float
     sd_null: float
     sd_alt: float
+
+
+class Batched(NamedTuple):
+    """A replica function with a stacked kernel.
+
+    Called on a stream it is the plain replica function `one`.  replicate
+    instead hands `block` the generators of a run of consecutive replicas
+    (a graphcore.SubstreamGenerators) and takes back one value per
+    replica, equal to what `one` gives on each stream.  `nbytes`, the size
+    of one replica's largest array, sets how many replicas share a block.
+    """
+
+    one: Callable[[RngStream], float]
+    block: Callable[[SubstreamGenerators], np.ndarray]
+    nbytes: int
+
+    def __call__(self, stream: RngStream) -> float:
+        return self.one(stream)
 
 
 def mean_var(values: Sequence[float] | np.ndarray) -> MeanVar:
@@ -126,17 +153,33 @@ def replicate(fn: Callable[[RngStream], float | np.ndarray], replicas: int,
     """Evaluate fn on substreams 0..replicas-1 of rng, in index order.
 
     fn returns a scalar or a fixed-length 1-d array, giving a (replicas,)
-    or (replicas, k) float64 array.  jobs > 1 fans the evaluations out
+    or (replicas, k) float64 array.  A Batched fn is evaluated a block of
+    replicas at a time.  jobs > 1 fans the evaluations (or blocks) out
     over threads; results are collected by replica index, so the output
     is independent of jobs.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    streams = [rng.substream(i) for i in range(replicas)]
-    if jobs <= 1:
-        return np.array([fn(s) for s in streams], dtype=np.float64)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return np.array(list(pool.map(fn, streams)), dtype=np.float64)
+    batched = isinstance(fn, Batched)
+    if batched:
+        # the fewest blocks under the cap, of sizes that differ by at most one
+        blocks = -(-replicas * fn.nbytes // _BLOCK_BYTES)
+        blocks = min(replicas, max(1, blocks))
+        edges = [replicas * k // blocks for k in range(blocks + 1)]
+        items = [SubstreamGenerators(rng, start, stop)
+                 for start, stop in zip(edges, edges[1:])]
+        run = fn.block
+    else:
+        items = [rng.substream(i) for i in range(replicas)]
+        run = fn
+    if jobs <= 1 or len(items) == 1:
+        parts = [run(x) for x in items]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(run, items))
+    if batched:
+        return np.concatenate(parts).astype(np.float64, copy=False)
+    return np.array(parts, dtype=np.float64)
 
 
 def two_arm(null_fn: Callable[[RngStream], float],

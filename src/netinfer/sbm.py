@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import binom as _binom
-from scipy.stats import poisson as _poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
                         sparse_adjacency)
@@ -347,16 +346,22 @@ def pairwise_error(lambda_i, lambda_j, p_i: float, p_j: float) -> PairwiseError:
     cells = int(np.prod(limits + 1))
     if cells > 200_000_000:
         raise ValueError("truncated lattice too large; reduce dimension or means")
-    log_i = [_poisson.logpmf(np.arange(nl + 1), l) for nl, l in zip(limits, li)]
-    log_j = [_poisson.logpmf(np.arange(nl + 1), l) for nl, l in zip(limits, lj)]
+    log_i = [_poisson_logpmf(nl, l) for nl, l in zip(limits, li)]
+    log_j = [_poisson_logpmf(nl, l) for nl, l in zip(limits, lj)]
     si, sj = log_i[0], log_j[0]
     for axis in range(1, len(limits)):
         si = (si[:, None] + log_i[axis][None, :]).ravel()
         sj = (sj[:, None] + log_j[axis][None, :]).ravel()
     value = float(np.minimum(p_i * np.exp(si), p_j * np.exp(sj)).sum())
-    tail = min(p_i * _poisson.sf(limits, li).sum(),
-               p_j * _poisson.sf(limits, lj).sum())
+    tail = min(p_i * pdtrc(limits, li).sum(), p_j * pdtrc(limits, lj).sum())
     return PairwiseError(value, float(tail))
+
+
+def _poisson_logpmf(limit: int, mean: float) -> np.ndarray:
+    """log P(X = k) for k = 0..limit, X ~ Poisson(mean); the formula of
+    scipy.stats.poisson.logpmf."""
+    k = np.arange(limit + 1)
+    return xlogy(k, mean) - gammaln(k + 1) - mean
 
 
 def map_error_bounds(pairwise: np.ndarray) -> tuple[float, float]:
@@ -393,9 +398,12 @@ def lecam_tv(n: int, a: float, b: float) -> LeCamResult:
     lam = a * b * math.log(n)
     if b == 0.0:
         return LeCamResult(0.0, 0.0)
+    # binom.pmf has no scipy.special form, and importing scipy.stats costs
+    # more than most commands, so only this function pays for it
+    from scipy.stats import binom, poisson
     x = np.arange(trials + 1)
-    diff = np.abs(_binom.pmf(x, trials, q) - _poisson.pmf(x, lam))
-    tv = 0.5 * (float(diff.sum()) + float(_poisson.sf(trials, lam)))
+    diff = np.abs(binom.pmf(x, trials, q) - poisson.pmf(x, lam))
+    tv = 0.5 * (float(diff.sum()) + float(pdtrc(trials, lam)))
     bound = 2.0 * a * b * b * math.log(n) ** 2 / n
     return LeCamResult(tv, bound)
 

@@ -83,7 +83,6 @@ class RootFindingReport(NamedTuple):
     model: str
     n: int
     K: int
-    epsilon: float | None
     success_rate: float
     replicas: int
     se: float  # binomial standard error of success_rate
@@ -228,8 +227,7 @@ def root_leaf_probability(model: str, n: int) -> float:
 
 def root_finding_success(model: str, n: int, K: int, replicas: int,
                          rng: RngStream, scoring: str = "root",
-                         seed: Tree | None = None,
-                         epsilon: float | None = None) -> RootFindingReport:
+                         seed: Tree | None = None) -> RootFindingReport:
     """Fraction of replicas whose branch-weight confidence set catches the
     hidden root of a freshly grown, uniformly relabeled tree.
 
@@ -244,8 +242,6 @@ def root_finding_success(model: str, n: int, K: int, replicas: int,
         raise ValueError(f"unknown scoring mode: {scoring!r}")
     if K < 1:
         raise ValueError("K must be at least 1")
-    if epsilon is not None and not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
     model = _norm_model(model)
     seed_size = _default_seed(model).n if seed is None else seed.n
     if scoring == "either_endpoint" and seed_size < 2:
@@ -260,9 +256,8 @@ def root_finding_success(model: str, n: int, K: int, replicas: int,
         picked = np.lexsort((perm, branch_weights(rt.tree)))[:K]
         return float(np.isin(targets, picked).any())
     rate = float(replicate(hit, replicas, rng).mean())
-    return RootFindingReport(model=model, n=n, K=K, epsilon=epsilon,
-                             success_rate=rate, replicas=replicas,
-                             se=binomial_se(rate, replicas))
+    return RootFindingReport(model=model, n=n, K=K, success_rate=rate,
+                             replicas=replicas, se=binomial_se(rate, replicas))
 
 
 def star(n: int) -> Tree:

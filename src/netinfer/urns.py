@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, gammaln
 
 from .graphcore import RngStream
 from .harness import ks_distance, ks_distance_cdf
@@ -286,7 +285,8 @@ def limit_law_check(initial: UrnState, law: str, n_final: int, runs: int,
     final = urn_run_batch(initial, steps, runs, rng)[0]
     fractions = final / reached
     per_marginal = tuple(
-        ks_distance_cdf(fractions[:, i], beta_dist(alpha[i], bet[i]).cdf)
+        ks_distance_cdf(fractions[:, i],
+                        lambda x, a=alpha[i], b=bet[i]: betainc(a, b, x))
         for i in range(initial.colors))
     return LimitLawResult(ks=max(per_marginal), marginal_ks=per_marginal,
                           alpha=alpha, beta=bet, n_final=reached, runs=runs)

@@ -1,10 +1,10 @@
 """Reference implementations on dense adjacency matrices and Python loops.
 
 These are the former library paths, kept as oracles: the edge store, the
-parent-array trees, the block-pair SBM sampler, the urn ensemble and the
-replica loops of `sbm recover` and the degree-scaling experiment are
-checked against them for identical results (where the arithmetic is the
-same) or the same law.  The tree helpers at the end (component sizes, psi,
+parent-array trees, the block-pair SBM sampler, the urn ensemble, the
+replica loops of `sbm recover` and the degree-scaling experiment, and the
+one-matrix-at-a-time geometry replicas are checked against them for
+identical results (where the arithmetic is the same) or the same law.  The tree helpers at the end (component sizes, psi,
 AHU signatures) are the definitions the tests check the library against.
 """
 
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from netinfer import sbm
+from netinfer.geom import threshold
 from netinfer.graphcore import bfs_order
 from netinfer.trees import centroid, grow
 
@@ -179,6 +180,95 @@ def loop_urn_run_batch(initial, steps: int, runs: int, rng,
             out[pos] = counts
             pos += 1
     return out
+
+
+def replica_loop(fn, replicas: int, rng) -> np.ndarray:
+    """fn on substreams 0..replicas-1 of rng, one replica at a time."""
+    return np.array([fn(rng.substream(i)) for i in range(replicas)],
+                    dtype=np.float64)
+
+
+def loop_er(n: int, p: float, gen) -> np.ndarray:
+    """Dense G(n, p) adjacency from one n x n uniform mask."""
+    adj = np.triu(gen.random((n, n)) < p, 1)
+    return adj | adj.T
+
+
+def loop_bartlett(n: int, d: int, gen) -> np.ndarray:
+    L = np.zeros((n, n))
+    L[np.tril_indices(n, -1)] = gen.standard_normal(n * (n - 1) // 2)
+    L[np.diag_indices(n)] = np.sqrt(gen.chisquare(d - np.arange(n)))
+    return L
+
+
+def loop_rgg(n: int, p: float, d: int, gen) -> np.ndarray:
+    """Dense G(n, p, d) adjacency: Bartlett Gram matrix for n <= d, drawn
+    sphere points otherwise."""
+    t = threshold(p, d)
+    if n <= d:
+        X = loop_bartlett(n, d, gen)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+    else:
+        X = gen.standard_normal((n, d))
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        while (norms == 0.0).any():
+            bad = norms[:, 0] == 0.0
+            X[bad] = gen.standard_normal((int(bad.sum()), d))
+            norms = np.linalg.norm(X, axis=1, keepdims=True)
+        X /= norms
+    adj = np.triu(X @ X.T >= t, 1)
+    return adj | adj.T
+
+
+def _loop_entries(gen, shape, entry_dist: str) -> np.ndarray:
+    if entry_dist == "gaussian":
+        return gen.standard_normal(shape)
+    if entry_dist == "uniform-scaled":
+        return gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
+    return 2.0 * gen.integers(0, 2, size=shape).astype(np.float64) - 1.0
+
+
+def loop_wishart(n: int, d: int, entry_dist: str, kind: str, gen) -> np.ndarray:
+    """One matrix of geom.sample_wishart's ensembles."""
+    if kind in ("wishart", "wishart_scaled_nodiag"):
+        if entry_dist == "gaussian" and d >= n:
+            L = loop_bartlett(n, d, gen)
+            W = L @ L.T
+        else:
+            Y = _loop_entries(gen, (n, d), entry_dist)
+            W = Y @ Y.T
+        W = (W + W.T) / 2.0
+        if kind == "wishart_scaled_nodiag":
+            np.fill_diagonal(W, 0.0)
+            W /= math.sqrt(d)
+        return W
+    M = np.triu(_loop_entries(gen, (n, n), entry_dist), 1)
+    M = M + M.T
+    if kind == "goe_nodiag":
+        return M
+    np.fill_diagonal(M, math.sqrt(2.0) * _loop_entries(gen, (n,), entry_dist))
+    return math.sqrt(d) * M + d * np.eye(n)
+
+
+def loop_signs(w: np.ndarray) -> np.ndarray:
+    adj = w >= 0.0
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def loop_tau(adj: np.ndarray, p: float) -> float:
+    B = adj.astype(np.float64) - p
+    np.fill_diagonal(B, 0.0)
+    return float(((B @ B) * B).sum()) / 6.0
+
+
+def loop_triangles(adj: np.ndarray) -> float:
+    a = adj.astype(np.float32)
+    return float(int(round(float(((a @ a) * a).sum(dtype=np.float64)) / 6.0)))
+
+
+def loop_tr3(w: np.ndarray) -> float:
+    return float(((w @ w) * w.T).sum())
 
 
 def components_after_removal(t, v: int) -> list[int]:

@@ -130,9 +130,7 @@ def test_triangle_moments_monte_carlo():
     worst = 0.0
     details = []
     for p in (0.3, 0.5, 0.7):
-        vals = replicate(
-            lambda s, pp=p: float(geom.triangle_count(geom.sample_er(n, pp, s))),
-            R, rng)
+        vals = replicate(geom.graph_replica(n, p, "t"), R, rng)
         closed = geom.triangle_moments_er(n, p)
         dev_mean = abs(vals.mean() - closed.mean) / closed.mean
         dev_var = abs(vals.var(ddof=1) - closed.variance) / closed.variance
@@ -153,9 +151,7 @@ def test_signed_triangle_null_moments():
     start = time.time()
     n, R = 30, 10**5
     rng = RngStream(20260502)
-    tau = replicate(
-        lambda s: geom.signed_triangle_stat(geom.sample_er(n, 0.5, s), 0.5),
-        R, rng)
+    tau = replicate(geom.graph_replica(n, 0.5, "tau"), R, rng)
     target_var = math.comb(n, 3) * 0.5 ** 3 * 0.5 ** 3
     se = tau.std(ddof=1) / math.sqrt(R)
     dev_var = abs(tau.var(ddof=1) - target_var) / target_var
@@ -327,9 +323,9 @@ def test_root_finding_coverage():
     and K=150 (eps=0.05) at >= 0.7895; under 2 minutes."""
     start = time.time()
     r58 = trees.root_finding_success("ua", 10**3, 58, 10**3,
-                                     RngStream(20260516), epsilon=0.1)
+                                     RngStream(20260516))
     r150 = trees.root_finding_success("ua", 10**3, 150, 10**3,
-                                      RngStream(20260517), epsilon=0.05)
+                                      RngStream(20260517))
     bound58 = 1 - 4 * 0.1 / 0.9
     bound150 = 1 - 4 * 0.05 / 0.95
     elapsed = time.time() - start

@@ -290,8 +290,7 @@ def test_tree_root_record_equals_library(capsys):
     res = record(capsys, "tree", "root", "--model", "ua", "--n", "60",
                  "--epsilon", "0.3", "--replicas", "20", "--seed", "7")["result"]
     K = trees.required_k("ua", 0.3)
-    report = trees.root_finding_success("ua", 60, K, 20, RngStream(7),
-                                        epsilon=0.3)
+    report = trees.root_finding_success("ua", 60, K, 20, RngStream(7))
     assert res["K"] == K
     assert (res["success_rate"], res["se"]) == (report.success_rate, report.se)
 

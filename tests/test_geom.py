@@ -23,10 +23,10 @@ from netinfer.geom import (
     tr_cubed,
     triangle_count,
     triangle_moments_er,
-    _bartlett,
-    _dense_er,
+    _bartlett_stack,
     _dense_rgg,
     _draw_entries,
+    _er_stack,
     _rgg_circle,
 )
 from netinfer.graphcore import (DenseSizeError, Graph, RngStream, Tree,
@@ -456,7 +456,7 @@ def test_bartlett_path_matches_direct_law(n, d):
 def test_wishart_path_follows_entry_law_and_dimension(n, d, entry_dist, bartlett):
     s = RngStream(42, d)
     if bartlett:
-        L = _bartlett(n, d, s.generator())
+        L = _bartlett_stack(n, d, (s.generator(),))[0]
         expect = L @ L.T
     else:
         Y = _draw_entries(s.generator(), (n, d), entry_dist)
@@ -472,7 +472,7 @@ def test_wishart_path_follows_entry_law_and_dimension(n, d, entry_dist, bartlett
 def test_rgg_path_follows_dimension(n, d, bartlett):
     s = RngStream(43, d)
     if bartlett:
-        X = _bartlett(n, d, s.generator())
+        X = _bartlett_stack(n, d, (s.generator(),))[0]
         X /= np.linalg.norm(X, axis=1, keepdims=True)
     else:
         X = sample_sphere(n, d, s)
@@ -491,6 +491,9 @@ def test_skip_er_matches_dense_mask_law(n, p, reps):
 
     def skip_er(n, p, gen):
         return Graph.from_edges(n, bernoulli_pairs(n, p, gen))
+
+    def _dense_er(n, p, gen):
+        return Graph._trusted(_er_stack(n, p, (gen,))[0])
     for k, draw in enumerate((_dense_er, skip_er)):
         graphs = [draw(n, p, base.substream(k * reps + i).generator())
                   for i in range(reps)]
@@ -509,7 +512,7 @@ def test_rgg_circle_matches_dense_gram_law(n, p, reps):
     t = threshold(p, 2)
     crit = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2.0 / reps)
     arms = []
-    for k, build in enumerate((lambda x: _dense_rgg(x @ x.T, t),
+    for k, build in enumerate((lambda x: Graph._trusted(_dense_rgg(x @ x.T, t)),
                                lambda x: _rgg_circle(x, t))):
         graphs = [build(sample_sphere(n, 2, base.substream(k * reps + i)))
                   for i in range(reps)]

@@ -11,6 +11,7 @@ from netinfer.graphcore import (
     Graph,
     ParseError,
     RngStream,
+    SubstreamGenerators,
     Tree,
     bfs_order,
     parse_edge_list,
@@ -319,6 +320,27 @@ def test_substream_past_last_stream_id_raises():
     assert last.stream == 2**64 - 1
     with pytest.raises(ValueError, match="stream id"):
         last.substream(1)
+
+
+def _draws(gen) -> bytes:
+    return b"".join(a.tobytes() for a in (
+        gen.random(5), gen.standard_normal(3), gen.chisquare(np.arange(2, 6)),
+        gen.integers(0, 2, size=7), gen.uniform(-1.0, 1.0, size=2)))
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (2**64 - 1, 0), (5, 2**64 - 1)])
+def test_rekeyed_generator_draws_like_a_fresh_one(seed, stream):
+    rng = RngStream(seed, stream)
+    (gen,) = (_draws(g) for g in SubstreamGenerators(rng, 0, 1))
+    assert gen == _draws(rng.generator())
+
+
+def test_substream_generators_follow_the_substreams_in_order():
+    rng = RngStream(8, 40)
+    block = SubstreamGenerators(rng, 3, 9)
+    assert len(block) == 6
+    assert [_draws(g) for g in block] == [
+        _draws(rng.substream(i).generator()) for i in range(3, 9)]
 
 
 def test_rng_stream_is_frozen():

@@ -4,6 +4,8 @@ module to another's internals, so it fails here.  Dunders such as
 ``__version__`` are public."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netinfer"
@@ -34,3 +36,13 @@ def test_the_check_sees_private_names(tmp_path):
     probe.write_text("from . import __version__\n"
                      "from .geom import sample_er, _skip_er\n", encoding="utf-8")
     assert _private_relative_imports(probe) == ["probe.py:2 imports .geom._skip_er"]
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half a second and 45 MiB to import; only
+    # sbm.lecam_tv needs it, and imports it when called
+    probe = "import sys, netinfer.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, cwd=PACKAGE.parent,
+                         timeout=120)
+    assert out.stdout.strip() == "False"

@@ -438,11 +438,9 @@ def test_root_finding_deterministic():
 
 
 def test_root_finding_rate_and_fields():
-    report = root_finding_success("ua", 300, 58, 200, RngStream(4024),
-                                  epsilon=0.1)
+    report = root_finding_success("ua", 300, 58, 200, RngStream(4024))
     assert report.success_rate >= 0.9
     assert report.replicas == 200
-    assert report.epsilon == 0.1
     r = report.success_rate
     assert report.se == pytest.approx(math.sqrt(r * (1 - r) / 200))
 
