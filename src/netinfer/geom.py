@@ -15,7 +15,11 @@ Uniform and Rademacher entries and d < n keep the direct n x d draw.
 Random graphs take the dense store only when graphcore.prefers_dense says
 it pays for the expected edge count; otherwise G(n, p) is drawn by
 geometric skipping over the pairs and G(n, p, d) from sorted angles
-(d = 2) or row-chunked Gram products, so cost follows the edge count.
+(d = 2) or row-chunked Gram products.  Those products are float32 and
+screen the pairs with a proven rounding margin; the pairs inside the
+margin are decided in float64, so the edge rule is the float64 one.  On
+the edge store the triangle count multiplies the strict upper triangle,
+whose compressed rows are the sorted edge array.
 
 Monte Carlo replicas come from graph_replica and matrix_replica.  Where
 the graph or matrix is dense these are harness.Batched: a stacked kernel
@@ -37,10 +41,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as _sparse
 from scipy.special import betainc, betaincinv
 
 from .graphcore import (DENSE_BYTES_LIMIT, Graph, RngStream, bernoulli_pairs,
-                        check_dense, prefers_dense, sparse_adjacency)
+                        check_dense, prefers_dense)
 from .harness import Batched, PowerReport, power_from_samples, two_arm
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
@@ -106,7 +111,7 @@ def rgg_from_points(coords: np.ndarray, p: float) -> Graph:
         return Graph._trusted(_dense_rgg(coords @ coords.T, t))
     if d == 2 and t > 0.0:
         return _rgg_circle(coords, t)
-    return Graph.from_edges(n, _edges_by_chunks(coords, t))
+    return Graph._from_sorted_edges(n, _edges_by_chunks(coords, t))
 
 
 def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
@@ -141,17 +146,20 @@ def triangle_count(g: Graph) -> int:
     """Number of triangles T(G) = Tr(A^3)/6.
 
     A dense matrix product when the dense store pays for the graph's edge
-    count (prefers_dense); otherwise sparse adjacency products, which are
-    exact and much faster on a sparse graph.
+    count (prefers_dense).  Otherwise sparse products of the strict upper
+    triangle U of A, whose compressed rows are the sorted edge array
+    itself: T = sum((U U) o U) counts each triangle i < k < j once, at
+    its edge (i, j).
     """
     n = g.n
     if prefers_dense(n, g.m):
         check_dense(n, 4, "the triangle count")
         return int(_triangles(g.to_dense()))
-    if g.m == 0:
-        return 0
-    A = sparse_adjacency(g)
-    return int(round(((A @ A).multiply(A)).sum() / 6.0))
+    e = g.edges()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e[:, 0], minlength=n), out=indptr[1:])
+    U = _sparse.csr_matrix((np.ones(g.m), e[:, 1], indptr), shape=(n, n))
+    return int((U @ U).multiply(U).sum())
 
 
 def signed_triangle_stat(g: Graph, p: float) -> float:
@@ -533,18 +541,68 @@ def _rgg_circle(coords: np.ndarray, t: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _edges_by_chunks(coords: np.ndarray, t: float):
-    """Edge list of the geometric graph via row-chunked Gram products; a
-    chunk of rows is multiplied only with the columns from its first row
-    on, so the products cover the upper triangle."""
-    n = coords.shape[0]
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    edges = []
+def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
+    """Sorted (m, 2) int64 edge array of the geometric graph on the rows
+    x_i of coords: the pairs i < j whose float64 inner product is >= t.
+
+    Rows are taken in chunks of about 2e6 Gram entries; a chunk is
+    multiplied only with the columns from its first row on, so the
+    products cover the upper triangle.  The products are float32 and only
+    screen the pairs; float64 decides the ones near t.
+
+    The screen's margin.  Let u = 2^-24 (float32 unit roundoff) and
+    s = max_i |x_i|^2.  Rounding x_i and x_j to float32 moves their inner
+    product by at most (2u + u^2) s, and summing the d float32 products in
+    any order adds at most g_d (1 + u)^2 s with g_d = du / (1 - du); both
+    sums are bounded through sum_k |x_ik x_jk| <= s (Cauchy-Schwarz).
+    While (d + 2) u <= 1/2, so du <= 1/2 - 2u, g_d (1 + u)^2 <= 2du and
+    the float32 product g is within (d + 2) u s, to first order, of the
+    exact one, and within delta - (2u - u^2) s in all, where
+    delta = 2 (d + 2) u s.  A float64 inner product, in any summation
+    order, is within 2^-29 s of the exact one, below that slack.  So
+    g < t - delta means a float64 product below t (no edge) and
+    g >= t + delta one at least t (an edge).  Only the pairs in between
+    are computed again in float64, at most 512 at a time, so the edge
+    rule is the float64 one whatever BLAS does.  Past (d + 2) u = 1/2
+    every pair is confirmed in float64.  The two float32 cut-offs are
+    rounded outward.
+
+    The boolean screen of a chunk is scanned as 8-byte words: only the
+    nonzero words (about 1 in 100 in the sparse regime) are read
+    byte by byte.
+    """
+    n, d = coords.shape
+    scale = float(np.einsum("ij,ij->i", coords, coords).max())
+    unit = 2.0 ** -24
+    delta = 2 * (d + 2) * unit * scale if (d + 2) * unit <= 0.5 else np.inf
+    lo = np.nextafter(np.float32(t - delta), np.float32(-np.inf))
+    hi = np.nextafter(np.float32(t + delta), np.float32(np.inf))
+    x32 = coords.astype(np.float32)
+    chunk = max(1, 2_000_000 // n)
+    screen = np.empty(-(-chunk * n // 8) * 8, dtype=bool)  # whole words
+    words = screen.view(np.uint64)
+    pairs, near = [], []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        mask = coords[start:stop] @ coords[start:].T >= t
-        mask &= np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
-        u, v = np.nonzero(mask)
-        edges.append(np.column_stack([u + start, v + start]))
-    return np.concatenate(edges, axis=0)
-
+        gram = x32[start:stop] @ x32[start:].T
+        size = gram.size
+        nwords = -(-size // 8)
+        screen[size:8 * nwords] = False
+        np.greater_equal(gram, lo, out=screen[:size].reshape(gram.shape))
+        hit = np.flatnonzero(words[:nwords] != 0)
+        flat = (hit[:, None] * 8 + np.arange(8)).ravel()
+        flat = flat[screen[flat]]
+        rows, cols = np.divmod(flat, n - start)
+        upper = cols > rows
+        pairs.append(np.column_stack((rows[upper], cols[upper])) + start)
+        near.append(gram.ravel()[flat[upper]] < hi)
+        del gram  # before the next chunk's product is allocated
+    del x32, screen, words
+    pairs = np.concatenate(pairs)
+    near = np.flatnonzero(np.concatenate(near))
+    keep = np.ones(len(pairs), dtype=bool)
+    for b in range(0, near.size, 512):
+        batch = near[b:b + 512]
+        i, j = pairs[batch].T
+        keep[batch] = np.einsum("ij,ij->i", coords[i], coords[j]) >= t
+    return pairs[keep]

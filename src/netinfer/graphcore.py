@@ -239,12 +239,12 @@ class Graph:
         neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]]."""
         if self._csr is None:
             e = self.edges()
-            # lower neighbours of each row first, each half already ascending
             rows = np.concatenate((e[:, 1], e[:, 0]))
             cols = np.concatenate((e[:, 0], e[:, 1]))
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-            indices = cols[np.argsort(rows, kind="stable")]
+            # the keys row * n + col sort by row, then by neighbour
+            indices = np.sort(rows * self.n + cols) % self.n
             indptr.setflags(write=False)
             indices.setflags(write=False)
             object.__setattr__(self, "_csr", (indptr, indices))

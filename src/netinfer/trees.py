@@ -23,7 +23,6 @@ __all__ = [
     "DegreeScaling",
     "RootFindingReport",
     "grow",
-    "relabel_uniform",
     "branch_weights",
     "centroid",
     "root_confidence_set",
@@ -107,15 +106,6 @@ def grow(model: str, n: int, rng: RngStream, seed: Tree | None = None) -> Record
     parent = np.concatenate([seed.parent, _grow_parents(model, n, seed, rng)])
     return RecordedTree(tree=Tree._trusted_parents(parent), model=model,
                         seed_size=seed.n)
-
-
-def relabel_uniform(rt: RecordedTree, rng: RngStream) -> tuple[Tree, int]:
-    """Uniformly random relabeling of the tree; returns it with the new id
-    of the chronologically first vertex (kept aside for scoring only)."""
-    t = rt.tree
-    perm = rng.generator().permutation(t.n)
-    relabeled = t if t.n == 1 else Tree.from_edges(t.n, perm[t.edges()])
-    return relabeled, int(perm[0])
 
 
 def branch_weights(t: Tree) -> np.ndarray:

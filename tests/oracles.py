@@ -4,7 +4,8 @@ These are the former library paths, kept as oracles: the edge store, the
 parent-array trees, the block-pair SBM sampler, the urn ensemble, the
 replica loops of `sbm recover` and the degree-scaling experiment, and the
 one-matrix-at-a-time geometry replicas are checked against them for
-identical results (where the arithmetic is the same) or the same law.  The tree helpers at the end (component sizes, psi,
+identical results (where the arithmetic is the same) or the same law.
+The tree helpers at the end (a uniform relabeling, component sizes, psi,
 AHU signatures) are the definitions the tests check the library against.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from netinfer import sbm
 from netinfer.geom import threshold
-from netinfer.graphcore import bfs_order
+from netinfer.graphcore import Tree, bfs_order
 from netinfer.trees import centroid, grow
 
 
@@ -269,6 +270,15 @@ def loop_triangles(adj: np.ndarray) -> float:
 
 def loop_tr3(w: np.ndarray) -> float:
     return float(((w @ w) * w.T).sum())
+
+
+def relabel_uniform(rt, rng) -> tuple[Tree, int]:
+    """Uniformly random relabeling of a grown tree; returns it with the new
+    id of the chronologically first vertex (kept aside for scoring only)."""
+    t = rt.tree
+    perm = rng.generator().permutation(t.n)
+    relabeled = t if t.n == 1 else Tree.from_edges(t.n, perm[t.edges()])
+    return relabeled, int(perm[0])
 
 
 def components_after_removal(t, v: int) -> list[int]:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from netinfer.geom import (
 )
 from netinfer.graphcore import (DenseSizeError, Graph, RngStream, Tree,
                                 _linear_to_pair, bernoulli_pairs)
-from netinfer.harness import ks_distance, ks_distance_cdf
+from netinfer.harness import ks_distance, ks_distance_cdf, replicate
 
 # ------------------------------------------------------------- sphere
 
@@ -200,6 +201,58 @@ def test_rgg_circle_helper_direct():
     assert (g.to_dense() == (adj | adj.T)).all()
 
 
+@pytest.mark.parametrize("d", [3, 513, 4096])
+def test_screened_gram_gives_the_float64_edges(d):
+    """At n = 3000 (five row chunks) the float32-screened Gram products
+    give exactly the edges of the float64 Gram rule."""
+    n, p = 3000, 4 / 3000
+    pts = sample_sphere(n, d, RngStream(47, d))
+    g = rgg_from_points(pts, p)
+    assert g.adj is None
+    u, v = np.nonzero(np.triu(pts @ pts.T >= threshold(p, d), 1))
+    np.testing.assert_array_equal(g.edges(), np.column_stack((u, v)))
+
+
+def test_screened_gram_decides_the_margin_in_float64():
+    """Inner products within the float32 margin delta of t: those in
+    (t - delta, t) give no edge, those in [t, t + delta) give one."""
+    d, p = 513, 4 / 3000
+    t = threshold(p, d)
+    delta = 2 * (d + 2) * 2.0 ** -24
+    below = [t - 0.999 * delta, t - delta / 2, np.nextafter(t, -1.0)]
+    above = [t, np.nextafter(t, 2.0), t + delta / 2, t + 0.999 * delta]
+    # row 0 is e_0; row a is c_a e_0 + sqrt(1 - c_a^2) e_a, so the float64
+    # inner product of rows 0 and a is exactly c_a, and c_a c_b < t
+    X = np.zeros((1 + len(below) + len(above), d))
+    X[0, 0] = 1.0
+    for a, c in enumerate(below + above, start=1):
+        X[a, 0], X[a, a] = c, math.sqrt(1.0 - c * c)
+    g = rgg_from_points(X, p)
+    assert g.adj is None
+    assert g.edges().tolist() == [[0, a] for a in range(len(below) + 1,
+                                                        len(X))]
+    assert (g.to_dense() == Graph(_dense_rgg(X @ X.T, t)).adj).all()
+
+
+def test_screened_gram_without_edges():
+    g = rgg_from_points(np.eye(100, 513), 4 / 3000)
+    assert g.m == 0
+    assert g.edges().shape == (0, 2) and g.edges().dtype == np.int64
+
+
+def test_screened_gram_memory_peak():
+    """The screen holds one float32 chunk, its boolean words and the
+    float32 points; float64 rows are gathered 512 pairs at a time."""
+    pts = sample_sphere(3000, 513, RngStream(48))
+    tracemalloc.start()
+    try:
+        rgg_from_points(pts, 4 / 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
+
+
 def test_linear_to_pair_exhaustive():
     for n in (2, 3, 5, 17):
         k = np.arange(n * (n - 1) // 2)
@@ -252,6 +305,36 @@ def test_triangle_count_sparse_path_matches_dense_product():
     a = g.to_dense().astype(np.float64)
     dense = int(round(((a @ a) * a).sum() / 6.0))
     assert triangle_count(g) == dense
+
+
+def _dense_triangles_and_rows(adj: np.ndarray):
+    """Triangle count from the common neighbours of each edge's dense rows,
+    and the compressed rows read off the matrix."""
+    u, v = np.nonzero(adj)
+    u, v = u[u < v], v[u < v]
+    common = 0
+    for b in range(0, len(u), 1024):
+        common += int(np.count_nonzero(adj[u[b:b + 1024]] & adj[v[b:b + 1024]]))
+    indptr = np.concatenate(([0], np.cumsum(adj.sum(axis=1))))
+    return common // 3, indptr, np.nonzero(adj)[1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph.from_edges(100, [(2, 3), (0, 2), (1, 3), (0, 1), (1, 2),
+                                   (97, 98)]),
+    lambda: Graph.from_edges(50, []),
+    lambda: sample_er(10_000, 5e-4, RngStream(49, 0)),
+    lambda: sample_rgg(10_000, 5e-4, 2, RngStream(49, 2)),
+    lambda: sample_rgg(10_000, 5e-4, 3, RngStream(49, 3)),
+], ids=["isolated-last-vertex", "no-edges", "er-1e4", "rgg-d2-1e4",
+        "rgg-d3-1e4"])
+def test_edge_store_triangles_and_rows_match_dense_oracle(build):
+    g = build()
+    assert g.adj is None
+    triangles, indptr, indices = _dense_triangles_and_rows(g.to_dense())
+    assert triangle_count(g) == triangles
+    np.testing.assert_array_equal(g.csr()[0], indptr)
+    np.testing.assert_array_equal(g.csr()[1], indices)
 
 
 def test_signed_triangle_examples():
@@ -430,18 +513,19 @@ def test_bartlett_path_matches_direct_law(n, d):
                           sample_wishart(n, d, rng=s),
                           sample_wishart(n, d, kind="wishart_scaled_nodiag",
                                          rng=s)))
-    direct = []
-    for i in range(_R):
-        s = base.substream(_R + i)
+    first = base.substream(_R)
+
+    def direct(s):
         Y = s.generator().standard_normal((n, d))
         W = Y @ Y.T
         A = W - np.diag(np.diag(W))
         # the points sample_sphere(n, d, s) draws, from the same Y
         points = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-        if i == 0:
+        if s == first:
             assert (points == sample_sphere(n, d, s)).all()
-        direct.append(stats(rgg_from_points(points, 0.5), W, A / math.sqrt(d)))
-    fast, direct = np.array(fast), np.array(direct)
+        return stats(rgg_from_points(points, 0.5), W, A / math.sqrt(d))
+    fast = np.array(fast)
+    direct = replicate(direct, _R, first, jobs=2)
     for k in range(fast.shape[1]):
         assert ks_distance(fast[:, k], direct[:, k]) < _KS_CRIT, k
 

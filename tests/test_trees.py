@@ -16,7 +16,7 @@ from scipy import stats
 
 import oracles
 from checks import assert_prop_close
-from oracles import ahu_signature, psi
+from oracles import ahu_signature, psi, relabel_uniform
 from netinfer.graphcore import RngStream, Tree, parse_edge_list, serialize_edge_list
 from netinfer.harness import ks_distance_cdf
 from netinfer.trees import (
@@ -26,7 +26,6 @@ from netinfer.trees import (
     grow,
     max_degree,
     path,
-    relabel_uniform,
     required_k,
     root_confidence_set,
     root_finding_success,
