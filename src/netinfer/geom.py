@@ -15,9 +15,11 @@ Uniform and Rademacher entries and d < n keep the direct n x d draw.
 Random graphs take the dense store only when graphcore.prefers_dense says
 it pays for the expected edge count; otherwise G(n, p) is drawn by
 geometric skipping over the pairs and G(n, p, d) from sorted angles
-(d = 2) or row-chunked Gram products.  Those products are float32 and
-screen the pairs with a proven rounding margin; the pairs inside the
-margin are decided in float64, so the edge rule is the float64 one.  On
+(d = 2) or row-chunked Gram products.  Where few pairs lie within a
+proven rounding margin of the threshold, as at moderate d, those
+products are float32 and only screen the pairs; the pairs inside the
+margin are decided in float64, so the edge rule is the float64 one up to
+its summation order.  Otherwise the products are float64.  On
 the edge store the triangle count multiplies the strict upper triangle,
 whose compressed rows are the sorted edge array.
 
@@ -547,8 +549,9 @@ def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
 
     Rows are taken in chunks of about 2e6 Gram entries; a chunk is
     multiplied only with the columns from its first row on, so the
-    products cover the upper triangle.  The products are float32 and only
-    screen the pairs; float64 decides the ones near t.
+    products cover the upper triangle.  Where that pays (see below), the
+    products are float32 and only screen the pairs; float64 decides the
+    ones near t.
 
     The screen's margin.  Let u = 2^-24 (float32 unit roundoff) and
     s = max_i |x_i|^2.  Rounding x_i and x_j to float32 moves their inner
@@ -561,48 +564,66 @@ def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
     delta = 2 (d + 2) u s.  A float64 inner product, in any summation
     order, is within 2^-29 s of the exact one, below that slack.  So
     g < t - delta means a float64 product below t (no edge) and
-    g >= t + delta one at least t (an edge).  Only the pairs in between
-    are computed again in float64, at most 512 at a time, so the edge
-    rule is the float64 one whatever BLAS does.  Past (d + 2) u = 1/2
-    every pair is confirmed in float64.  The two float32 cut-offs are
-    rounded outward.
+    g >= t + delta one at least t (an edge).  The two float32 cut-offs
+    are rounded outward.
 
-    The boolean screen of a chunk is scanned as 8-byte words: only the
-    nonzero words (about 1 in 100 in the sparse regime) are read
-    byte by byte.
+    Only the pairs in between are computed again in float64, a batch of
+    rows at a time whose two gathered blocks hold at most 4 MiB.  Such a
+    pair costs about as much as 100 entries of a float64 chunk product,
+    and the margin grows like d while the spread of the inner products
+    shrinks like 1/sqrt(d).  So the chunks are screened only while the
+    share of uniform sphere pairs within delta of t, from the law of the
+    inner product, is at most 1/512, and (d + 2) u <= 1/2; otherwise they
+    are float64 products.  A screened chunk with more than 1/512 of its
+    entries in the margin is multiplied again in float64, and so are the
+    chunks after it.  The edges are those of the float64 rule up to its
+    summation order: a pair within float64 rounding of t can come out
+    otherwise than from a float64 product of the whole chunk.  The
+    float32 copy of the points is half their size.
     """
     n, d = coords.shape
-    scale = float(np.einsum("ij,ij->i", coords, coords).max())
     unit = 2.0 ** -24
-    delta = 2 * (d + 2) * unit * scale if (d + 2) * unit <= 0.5 else np.inf
-    lo = np.nextafter(np.float32(t - delta), np.float32(-np.inf))
-    hi = np.nextafter(np.float32(t + delta), np.float32(np.inf))
-    x32 = coords.astype(np.float32)
+    delta = 2 * (d + 2) * unit  # for unit vectors, s = 1
+    a = (d - 1) / 2.0
+    band = np.diff(betainc(a, a, np.clip([(1 + t - delta) / 2,
+                                           (1 + t + delta) / 2], 0.0, 1.0)))
+    x32 = None
+    if (d + 2) * unit <= 0.5 and 512 * band[0] <= 1.0:
+        delta *= float(np.einsum("ij,ij->i", coords, coords).max())
+        lo = np.nextafter(np.float32(t - delta), np.float32(-np.inf))
+        hi = np.nextafter(np.float32(t + delta), np.float32(np.inf))
+        x32 = coords.astype(np.float32)
     chunk = max(1, 2_000_000 // n)
-    screen = np.empty(-(-chunk * n // 8) * 8, dtype=bool)  # whole words
-    words = screen.view(np.uint64)
-    pairs, near = [], []
+    batch = max(1, 2 ** 22 // (16 * d))
+    edges = []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        gram = x32[start:stop] @ x32[start:].T
-        size = gram.size
-        nwords = -(-size // 8)
-        screen[size:8 * nwords] = False
-        np.greater_equal(gram, lo, out=screen[:size].reshape(gram.shape))
-        hit = np.flatnonzero(words[:nwords] != 0)
-        flat = (hit[:, None] * 8 + np.arange(8)).ravel()
-        flat = flat[screen[flat]]
-        rows, cols = np.divmod(flat, n - start)
-        upper = cols > rows
-        pairs.append(np.column_stack((rows[upper], cols[upper])) + start)
-        near.append(gram.ravel()[flat[upper]] < hi)
-        del gram  # before the next chunk's product is allocated
-    del x32, screen, words
-    pairs = np.concatenate(pairs)
-    near = np.flatnonzero(np.concatenate(near))
-    keep = np.ones(len(pairs), dtype=bool)
-    for b in range(0, near.size, 512):
-        batch = near[b:b + 512]
-        i, j = pairs[batch].T
-        keep[batch] = np.einsum("ij,ij->i", coords[i], coords[j]) >= t
-    return pairs[keep]
+        if x32 is not None:
+            gram = x32[start:stop] @ x32[start:].T
+            flat, rows, cols = _upper_pairs(gram >= lo, start)
+            near = np.flatnonzero(gram.ravel()[flat] < hi)
+            wide = 512 * near.size > gram.size
+            del gram  # before the float64 rows are gathered
+            if not wide:
+                keep = np.ones(flat.size, dtype=bool)
+                for b in range(0, near.size, batch):
+                    k = near[b:b + batch]
+                    keep[k] = np.einsum("ij,ij->i", coords[rows[k]],
+                                        coords[cols[k]]) >= t
+                edges.append(np.column_stack((rows[keep], cols[keep])))
+                continue
+            x32 = None
+        _, rows, cols = _upper_pairs(coords[start:stop] @ coords[start:].T >= t,
+                                     start)
+        edges.append(np.column_stack((rows, cols)))
+    return np.concatenate(edges)
+
+
+def _upper_pairs(mask: np.ndarray, start: int):
+    """Flat indices into the (rows, columns from start on) block mask of
+    its true entries above the diagonal, with their global rows and
+    columns."""
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, mask.shape[1])
+    upper = cols > rows
+    return flat[upper], rows[upper] + start, cols[upper] + start

@@ -204,33 +204,47 @@ def test_rgg_circle_helper_direct():
 @pytest.mark.parametrize("d", [3, 513, 4096])
 def test_screened_gram_gives_the_float64_edges(d):
     """At n = 3000 (five row chunks) the float32-screened Gram products
-    give exactly the edges of the float64 Gram rule."""
+    give exactly the edges of the float64 Gram rule.  Beside the float32
+    points they hold one chunk and at most 4 MiB of gathered rows (about
+    1300 pairs are gathered at d = 4096)."""
     n, p = 3000, 4 / 3000
     pts = sample_sphere(n, d, RngStream(47, d))
-    g = rgg_from_points(pts, p)
+    tracemalloc.start()
+    try:
+        g = rgg_from_points(pts, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pts.nbytes / 2 + 16 * 2 ** 20
     assert g.adj is None
     u, v = np.nonzero(np.triu(pts @ pts.T >= threshold(p, d), 1))
     np.testing.assert_array_equal(g.edges(), np.column_stack((u, v)))
 
 
-def test_screened_gram_decides_the_margin_in_float64():
+@pytest.mark.parametrize("pad", [0, 92], ids=["wide-margin", "screened"])
+def test_screened_gram_decides_the_margin_in_float64(pad):
     """Inner products within the float32 margin delta of t: those in
-    (t - delta, t) give no edge, those in [t, t + delta) give one."""
+    (t - delta, t) give no edge, those in [t, t + delta) give one.  With
+    8 rows the 7 pairs in the margin are more than 1/512 of the 64 Gram
+    entries, so the chunk is multiplied again in float64; with 92 more
+    rows orthogonal to all others they are computed again pair by pair."""
     d, p = 513, 4 / 3000
     t = threshold(p, d)
     delta = 2 * (d + 2) * 2.0 ** -24
     below = [t - 0.999 * delta, t - delta / 2, np.nextafter(t, -1.0)]
     above = [t, np.nextafter(t, 2.0), t + delta / 2, t + 0.999 * delta]
     # row 0 is e_0; row a is c_a e_0 + sqrt(1 - c_a^2) e_a, so the float64
-    # inner product of rows 0 and a is exactly c_a, and c_a c_b < t
-    X = np.zeros((1 + len(below) + len(above), d))
+    # inner product of rows 0 and a is exactly c_a, and c_a c_b < t; the
+    # padding rows are the next unit vectors
+    X = np.zeros((1 + len(below) + len(above) + pad, d))
+    X[len(X) - pad:, len(X) - pad:len(X)] = np.eye(pad)
     X[0, 0] = 1.0
     for a, c in enumerate(below + above, start=1):
         X[a, 0], X[a, a] = c, math.sqrt(1.0 - c * c)
     g = rgg_from_points(X, p)
     assert g.adj is None
     assert g.edges().tolist() == [[0, a] for a in range(len(below) + 1,
-                                                        len(X))]
+                                                        len(X) - pad)]
     assert (g.to_dense() == Graph(_dense_rgg(X @ X.T, t)).adj).all()
 
 
@@ -241,8 +255,8 @@ def test_screened_gram_without_edges():
 
 
 def test_screened_gram_memory_peak():
-    """The screen holds one float32 chunk, its boolean words and the
-    float32 points; float64 rows are gathered 512 pairs at a time."""
+    """The screen holds one float32 chunk, its boolean mask and the
+    float32 points; float64 rows are gathered 4 MiB at a time."""
     pts = sample_sphere(3000, 513, RngStream(48))
     tracemalloc.start()
     try:
@@ -251,6 +265,26 @@ def test_screened_gram_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [0.02, 0.002])
+def test_gram_at_large_dimension_stays_in_float64(p):
+    """At n = 200 and d = 20000 the margin 2(d + 2) 2^-24 is a third of
+    the spread 1/sqrt(d) of the inner products, so the products stay
+    float64: the edges are those of the float64 Gram rule, with no float32
+    copy of the points and no gathered rows."""
+    n, d = 200, 20000
+    pts = sample_sphere(n, d, RngStream(50))
+    tracemalloc.start()
+    try:
+        g = rgg_from_points(pts, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.adj is None
+    u, v = np.nonzero(np.triu(pts @ pts.T >= threshold(p, d), 1))
+    np.testing.assert_array_equal(g.edges(), np.column_stack((u, v)))
+    assert peak <= pts.nbytes / 16
 
 
 def test_linear_to_pair_exhaustive():
