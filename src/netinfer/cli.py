@@ -572,7 +572,7 @@ def _parse_seed_tree(value) -> Tree | None:
     if colon and kind in ("star", "path"):
         return (trees.star if kind == "star" else trees.path)(int(size))
     if value in ("singleton", "edge"):
-        return Tree.from_parents([-1] if value == "singleton" else [-1, 0])
+        return Tree([-1] if value == "singleton" else [-1, 0])
     g = _read_graph(value)
     return Tree.from_edges(g.n, g.edges())
 

@@ -530,17 +530,11 @@ def _rgg_circle(coords: np.ndarray, t: float) -> Graph:
     hi = np.searchsorted(ext, th + delta, side="right")
     starts = np.arange(n) + 1
     lens = np.maximum(hi - starts, 0)
-    total = int(lens.sum())
-    if total == 0:
-        return Graph.from_edges(n, [])
     i_flat = np.repeat(np.arange(n), lens)
     seg_starts = np.repeat(starts, lens)
-    seg_offset = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+    seg_offset = np.arange(i_flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
     j_flat = (seg_starts + seg_offset) % n
-    u = order[i_flat]
-    v = order[j_flat]
-    edges = np.column_stack([np.minimum(u, v), np.maximum(u, v)])
-    return Graph.from_edges(n, edges)
+    return Graph._from_pairs(n, order[i_flat], order[j_flat])
 
 
 def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:

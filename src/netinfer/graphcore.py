@@ -134,9 +134,10 @@ class Graph:
     A dense graph holds its symmetric, zero-diagonal boolean matrix ``adj``;
     the dense samplers build these at desk scale, where whole-matrix
     products beat adjacency lists.  An edge-built graph holds only its
-    sorted (m, 2) edge array and ``adj`` is None; compressed sparse rows
-    are built from the edges on first use, so its memory and time grow
-    with the number of edges.  ``to_dense()`` gives the matrix of either.
+    sorted (m, 2) edge array and ``adj`` is None, so its memory and time
+    grow with the number of edges.  Degrees and neighbours of either store
+    come from compressed sparse rows built from the edges on first use;
+    ``to_dense()`` gives the matrix of either.
     """
 
     __slots__ = ("adj", "m", "_n", "_edges", "_csr")
@@ -183,6 +184,14 @@ class Graph:
         return g
 
     @classmethod
+    def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+        """Edge-built graph from int64 arrays of pairs (u[k], v[k]) already
+        known to be distinct, in range and with u != v, in any order or
+        orientation; they are sorted once."""
+        return Graph._from_sorted_edges(
+            n, _sorted_pairs(n, np.minimum(u, v), np.maximum(u, v)))
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Edge-built graph from 0-indexed (u, v) pairs in any order."""
         if not isinstance(edges, np.ndarray):
@@ -196,10 +205,10 @@ class Graph:
                 raise ValueError("self-loops are not allowed")
             if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
                 raise ValueError("edge endpoint out of range")
-        sorted_edges = _sorted_pairs(n, np.minimum(u, v), np.maximum(u, v))
-        if (np.diff(sorted_edges, axis=0) == 0).all(axis=1).any():
+        g = Graph._from_pairs(n, u, v)
+        if (np.diff(g.edges(), axis=0) == 0).all(axis=1).any():
             raise ValueError("duplicate edges are not allowed")
-        return Graph._from_sorted_edges(n, sorted_edges)
+        return g
 
     @property
     def n(self) -> int:
@@ -207,21 +216,15 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        if self.adj is not None:
-            return int(np.count_nonzero(self.adj[v]))
         indptr, _ = self.csr()
         return int(indptr[v + 1] - indptr[v])
 
     def degrees(self) -> np.ndarray:
-        if self.adj is not None:
-            return np.count_nonzero(self.adj, axis=1)
         return np.diff(self.csr()[0])
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbours of v in ascending order."""
         self._check_vertex(v)
-        if self.adj is not None:
-            return np.nonzero(self.adj[v])[0]
         indptr, indices = self.csr()
         return indices[indptr[v]:indptr[v + 1]]
 
@@ -320,11 +323,6 @@ class Tree(Graph):
         object.__setattr__(t, "_edges", g._edges)
         object.__setattr__(t, "_csr", g._csr)
         return t
-
-    @classmethod
-    def from_parents(cls, parent: Sequence[int]) -> "Tree":
-        """Tree from parent[i] for i >= 1; vertex 0 is the growth root."""
-        return cls(parent)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)

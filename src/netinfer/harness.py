@@ -6,7 +6,10 @@ caller's base stream and reductions run in fixed replica order, so a
 repeated call with the same (seed, replicas) is bit-identical no matter
 how the work is scheduled.  A Batched replica function is run in blocks
 of whole replicas whose edges depend only on the replica count and the
-size of one replica, never on the number of workers.
+size of one replica, one block after another on the calling thread.
+Threads never paid for blocks: small ones lose to the interpreter lock,
+and large ones already keep the cores busy in BLAS.  Only a plain replica
+function is fanned out over worker threads.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from .graphcore import RngStream, SubstreamGenerators
 
 # A block of a Batched replica function holds at most this many bytes of
 # per-replica arrays; a replica larger than this is a block of its own.
-# 512 KiB was the fastest cap at --jobs 2 and within noise of the fastest
-# at --jobs 1 for n = 30..64 on a 2-vCPU Xeon; blocks of a few MiB lose
-# more to page faults on their fresh temporaries than they save.
+# Timed serially from 128 KiB to 2 MiB on dense replicas with n = 30..64
+# (a 2-vCPU Xeon), no cap beat 512 KiB on every command by more than the
+# run-to-run noise, and larger caps raised peak RSS by 1-4 MiB.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -154,32 +157,25 @@ def replicate(fn: Callable[[RngStream], float | np.ndarray], replicas: int,
 
     fn returns a scalar or a fixed-length 1-d array, giving a (replicas,)
     or (replicas, k) float64 array.  A Batched fn is evaluated a block of
-    replicas at a time.  jobs > 1 fans the evaluations (or blocks) out
-    over threads; results are collected by replica index, so the output
-    is independent of jobs.
+    replicas at a time, in block order on the calling thread.  A plain fn
+    is fanned out over `jobs` threads when jobs > 1; results are collected
+    by replica index, so the output is independent of jobs.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    batched = isinstance(fn, Batched)
-    if batched:
+    if isinstance(fn, Batched):
         # the fewest blocks under the cap, of sizes that differ by at most one
         blocks = -(-replicas * fn.nbytes // _BLOCK_BYTES)
         blocks = min(replicas, max(1, blocks))
         edges = [replicas * k // blocks for k in range(blocks + 1)]
-        items = [SubstreamGenerators(rng, start, stop)
-                 for start, stop in zip(edges, edges[1:])]
-        run = fn.block
-    else:
-        items = [rng.substream(i) for i in range(replicas)]
-        run = fn
-    if jobs <= 1 or len(items) == 1:
-        parts = [run(x) for x in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run, items))
-    if batched:
-        return np.concatenate(parts).astype(np.float64, copy=False)
-    return np.array(parts, dtype=np.float64)
+        return np.concatenate([fn.block(SubstreamGenerators(rng, start, stop))
+                               for start, stop in zip(edges, edges[1:])]
+                              ).astype(np.float64, copy=False)
+    streams = map(rng.substream, range(replicas))
+    if jobs <= 1 or replicas == 1:
+        return np.array([fn(s) for s in streams], dtype=np.float64)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return np.array(list(pool.map(fn, streams)), dtype=np.float64)
 
 
 def two_arm(null_fn: Callable[[RngStream], float],

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
-                        sparse_adjacency)
+                        bfs_order, sparse_adjacency)
 
 REGIMES = ("constant", "logarithmic", "linear")
 
@@ -150,7 +150,8 @@ def sample_sbm(n: int, params: SbmParams, rng: RngStream) -> LabeledGraph:
             mb = members[b]
             pos = bernoulli_positions(ma.size * mb.size, probs[a, b], gen)
             parts.append(np.column_stack((ma[pos // mb.size], mb[pos % mb.size])))
-    return LabeledGraph(graph=Graph.from_edges(n, np.concatenate(parts)),
+    pairs = np.concatenate(parts)
+    return LabeledGraph(graph=Graph._from_pairs(n, pairs[:, 0], pairs[:, 1]),
                         labels=labels)
 
 
@@ -265,20 +266,14 @@ def finest_partition(params: SbmParams) -> list[list[int]]:
         for j in range(i + 1, k):
             if ch_divergence(profiles[i], profiles[j]).d_plus < 1.0:
                 close[i, j] = close[j, i] = True
+    graph = Graph._trusted(close)
     blocks: list[list[int]] = []
     seen = np.zeros(k, dtype=bool)
     for start in range(k):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in np.nonzero(close[u] & ~seen)[0]:
-                seen[w] = True
-                stack.append(int(w))
-        blocks.append(sorted(comp))
+        if not seen[start]:
+            comp = np.sort(bfs_order(graph, start)[0])
+            seen[comp] = True
+            blocks.append(comp.tolist())
     return blocks
 
 

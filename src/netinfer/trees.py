@@ -254,14 +254,14 @@ def star(n: int) -> Tree:
     """Star with center 0."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return Tree.from_parents([-1] + [0] * (n - 1))
+    return Tree([-1] + [0] * (n - 1))
 
 
 def path(n: int) -> Tree:
     """Path 0 - 1 - ... - (n-1)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return Tree.from_parents([-1] + list(range(n - 1)))
+    return Tree([-1] + list(range(n - 1)))
 
 
 def _grow_parents(model: str, n: int, seed: Tree, rng: RngStream) -> np.ndarray:
@@ -327,7 +327,7 @@ def _subtree_sizes(parent: np.ndarray) -> np.ndarray:
 
 def _default_seed(model: str) -> Tree:
     """The seed grow() starts from: one vertex for ua, one edge for pa."""
-    return Tree.from_parents([-1] if model == "ua" else [-1, 0])
+    return Tree([-1] if model == "ua" else [-1, 0])
 
 
 def _norm_model(model: str) -> str:

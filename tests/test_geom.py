@@ -201,6 +201,18 @@ def test_rgg_circle_helper_direct():
     assert (g.to_dense() == (adj | adj.T)).all()
 
 
+@pytest.mark.parametrize("n,p,seed", [(10_000, 5e-4, 14), (300, 0.25, 15),
+                                      (5, 1e-4, 16)])
+def test_rgg_circle_edges_are_what_from_edges_builds(n, p, seed):
+    # the trusted pair constructor sorts the window pairs as the checked
+    # one would, down to the last byte, and the empty graph included
+    g = _rgg_circle(sample_sphere(n, 2, RngStream(seed)), threshold(p, 2))
+    built = Graph.from_edges(n, g.edges())
+    assert g.edges().dtype == np.int64 and g.edges().shape == (g.m, 2)
+    assert g.edges().tobytes() == built.edges().tobytes()
+    assert (g.m == 0) == (n == 5)
+
+
 @pytest.mark.parametrize("d", [3, 513, 4096])
 def test_screened_gram_gives_the_float64_edges(d):
     """At n = 3000 (five row chunks) the float32-screened Gram products
@@ -317,8 +329,8 @@ def _count_popcount(g: Graph) -> int:
 def test_triangle_count_examples():
     k4 = Graph.from_edges(4, [(i, j) for i, j in itertools.combinations(range(4), 2)])
     assert triangle_count(k4) == 4
-    star = Tree.from_parents([-1] + [0] * 8)
-    path = Tree.from_parents([-1, 0, 1, 2, 3, 4, 5])
+    star = Tree([-1] + [0] * 8)
+    path = Tree([-1, 0, 1, 2, 3, 4, 5])
     assert triangle_count(star) == 0
     assert triangle_count(path) == 0
 

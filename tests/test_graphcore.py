@@ -170,17 +170,17 @@ def test_tree_requires_connectivity():
 
 def test_from_parents_validation():
     with pytest.raises(ValueError, match="parent\\[0\\] must be -1"):
-        Tree.from_parents([0, 0])
+        Tree([0, 0])
     with pytest.raises(ValueError, match="parent\\[0\\] must be -1"):
-        Tree.from_parents([])
+        Tree([])
     with pytest.raises(ValueError, match="earlier vertex"):
-        Tree.from_parents([-1, 2, 1])
+        Tree([-1, 2, 1])
     with pytest.raises(ValueError, match="earlier vertex"):
-        Tree.from_parents([-1, -1])
+        Tree([-1, -1])
 
 
 def test_from_parents_structure():
-    t = Tree.from_parents([-1, 0, 0, 2])
+    t = Tree([-1, 0, 0, 2])
     assert t.n == 4 and t.m == 3
     assert t.parent.tolist() == [-1, 0, 0, 2]
     assert t.degree(0) == 2 and t.degree(2) == 2
@@ -188,15 +188,15 @@ def test_from_parents_structure():
 
 def test_components_after_removal_examples():
     # removing the root of this 8-vertex tree leaves components of size 6, 1
-    t = Tree.from_parents([-1, 0, 0, 2, 2, 2, 2, 2])
+    t = Tree([-1, 0, 0, 2, 2, 2, 2, 2])
     assert components_after_removal(t, 0) == [6, 1]
     assert components_after_removal(t, 2) == [2, 1, 1, 1, 1, 1]
-    star = Tree.from_parents([-1, 0, 0, 0, 0, 0, 0])
+    star = Tree([-1, 0, 0, 0, 0, 0, 0])
     assert components_after_removal(star, 0) == [1] * 6
     assert components_after_removal(star, 1) == [6]
-    path = Tree.from_parents([-1, 0, 1, 2, 3])
+    path = Tree([-1, 0, 1, 2, 3])
     assert components_after_removal(path, 2) == [2, 2]
-    single = Tree.from_parents([-1])
+    single = Tree([-1])
     assert components_after_removal(single, 0) == []
 
 
@@ -211,7 +211,7 @@ def _parent_arrays(draw):
 @given(_parent_arrays())
 @settings(max_examples=80, derandomize=True)
 def test_components_partition_the_rest(parent):
-    t = Tree.from_parents(parent)
+    t = Tree(parent)
     for v in range(t.n):
         sizes = components_after_removal(t, v)
         assert sum(sizes) == t.n - 1
@@ -220,7 +220,7 @@ def test_components_partition_the_rest(parent):
 
 
 def test_bfs_order_on_path():
-    path = Tree.from_parents([-1, 0, 1, 2])
+    path = Tree([-1, 0, 1, 2])
     order, parent = bfs_order(path, 3)
     assert order.tolist() == [3, 2, 1, 0]
     assert parent.tolist() == [1, 2, 3, -1]
@@ -264,7 +264,7 @@ def test_edge_store_holds_no_matrix():
 
 
 def test_tree_is_its_parent_array():
-    t = Tree.from_parents([-1, 0, 0, 2, 2])
+    t = Tree([-1, 0, 0, 2, 2])
     assert t.adj is None
     assert t.degrees().tolist() == [2, 1, 3, 1, 1]
     assert t.edges().tolist() == [[0, 1], [0, 2], [2, 3], [2, 4]]

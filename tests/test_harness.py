@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,20 @@ def test_replicate_vector_results_are_rows_in_replica_order(jobs):
     assert serial.shape == (7, 4) and serial.dtype == np.float64
     assert serial.tolist() == [draw(base.substream(i)).tolist() for i in range(7)]
     assert serial.tobytes() == replicate(draw, 7, base, jobs=jobs).tobytes()
+
+
+def test_replicate_fans_plain_functions_out_over_threads():
+    # two replicas can meet at the barrier only when they run at once; a
+    # serial loop would leave the first one waiting until the timeout
+    barrier = threading.Barrier(2, timeout=10)
+
+    def draw(stream: RngStream) -> float:
+        barrier.wait()
+        return float(stream.generator().random())
+
+    vals = replicate(draw, 4, RngStream(13), jobs=2)
+    assert vals.tolist() == [RngStream(13).substream(i).generator().random()
+                             for i in range(4)]
 
 
 # ------------------------------------------------------- two-arm power test

@@ -2,6 +2,8 @@
 bit for bit the values of the one-replica-at-a-time oracles, whatever the
 block edges, the number of workers, or the path (block or plain call)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,22 @@ def test_block_edges_depend_on_replicas_and_size_only(jobs, fit, expect):
     sizes, fn = _block_sizes(harness._BLOCK_BYTES // fit)
     replicate(fn, 30, RngStream(94), jobs=jobs)
     assert sizes == expect
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_blocks_run_in_order_on_the_calling_thread(jobs):
+    threads, starts = [], []
+
+    def block(gens):
+        threads.append(threading.get_ident())
+        starts.append(gens.start)
+        return np.array([gen.random() for gen in gens])
+    fn = Batched(lambda s: 0.0, block, harness._BLOCK_BYTES // 7)
+    vals = replicate(fn, 30, RngStream(96), jobs=jobs)
+    assert threads == [threading.get_ident()] * 5
+    assert starts == [0, 6, 12, 18, 24]
+    assert vals.tolist() == [RngStream(96).substream(i).generator().random()
+                             for i in range(30)]
 
 
 def test_two_arm_batched_arms_keep_the_substream_layout():

@@ -8,7 +8,7 @@ from scipy.stats import poisson
 
 import oracles
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
-from netinfer.graphcore import RngStream
+from netinfer.graphcore import Graph, RngStream
 from netinfer.harness import ks_distance
 from netinfer.sbm import (
     LabeledGraph,
@@ -539,6 +539,22 @@ def test_sample_sbm_deterministic():
     b = sample_sbm(200, params, RngStream(4, 7))
     assert (a.graph.to_dense() == b.graph.to_dense()).all()
     assert (a.labels == b.labels).all()
+
+
+@pytest.mark.parametrize("n,params,seed", [
+    (2000, SbmParams.symmetric(2, 9.0, 1.0), 11),
+    (300, SbmParams.symmetric(3, 8.0, 2.0), 12),
+    (6, SbmParams(k=2, p=np.array([0.5, 0.5]), Q=np.zeros((2, 2)),
+                  regime="constant"), 13),
+])
+def test_sample_sbm_edges_are_what_from_edges_builds(n, params, seed):
+    # the trusted pair constructor sorts the block pairs as the checked
+    # one would, down to the last byte, and the empty graph included
+    g = sample_sbm(n, params, RngStream(seed)).graph
+    built = Graph.from_edges(n, g.edges())
+    assert g.edges().dtype == np.int64 and g.edges().shape == (g.m, 2)
+    assert g.edges().tobytes() == built.edges().tobytes()
+    assert (g.m == 0) == (params.Q.max() == 0.0)
 
 
 def test_sample_sbm_rejects_unscalable_rates():

@@ -93,7 +93,7 @@ def test_grow_validation():
     with pytest.raises(ValueError, match="n must be at least the seed size"):
         grow("ua", 2, RngStream(0), seed=path(3))
     with pytest.raises(ValueError, match="at least two vertices"):
-        grow("pa", 5, RngStream(0), seed=Tree.from_parents([-1]))
+        grow("pa", 5, RngStream(0), seed=Tree([-1]))
     with pytest.raises(ValueError, match="model must be one of"):
         grow("random", 5, RngStream(0))
 
@@ -129,19 +129,19 @@ def test_grow_pa_degree_bias():
 
 
 def test_psi_component_sizes():
-    t = Tree.from_parents([-1, 0, 0, 2, 2, 2, 2, 2])
+    t = Tree([-1, 0, 0, 2, 2, 2, 2, 2])
     assert psi(t, 0) == 6
     assert psi(t, 1) == 7
     assert psi(t, 2) == 2
     assert psi(t, 3) == 7
     assert psi(star(7), 0) == 1
     assert psi(star(7), 3) == 6
-    assert psi(Tree.from_parents([-1]), 0) == 0
+    assert psi(Tree([-1]), 0) == 0
 
 
 def test_branch_weights_match_psi_examples():
-    for t in (Tree.from_parents([-1, 0, 0, 2, 2, 2, 2, 2]), star(9), path(9),
-              Tree.from_parents([-1]), path(2)):
+    for t in (Tree([-1, 0, 0, 2, 2, 2, 2, 2]), star(9), path(9),
+              Tree([-1]), path(2)):
         np.testing.assert_array_equal(branch_weights(t),
                                       [psi(t, v) for v in range(t.n)])
 
@@ -156,7 +156,7 @@ def test_branch_weights_match_psi_grown(model, n):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(_parent_arrays())
 def test_branch_weights_match_psi_property(parents):
-    t = Tree.from_parents(parents)
+    t = Tree(parents)
     np.testing.assert_array_equal(branch_weights(t),
                                   [psi(t, v) for v in range(t.n)])
 
@@ -165,7 +165,7 @@ def test_centroid_examples():
     assert centroid(path(4)) == {1, 2}
     assert centroid(path(5)) == {2}
     assert centroid(star(6)) == {0}
-    assert centroid(Tree.from_parents([-1])) == {0}
+    assert centroid(Tree([-1])) == {0}
     assert centroid(path(2)) == {0, 1}
 
 
@@ -317,7 +317,7 @@ def test_ahu_signature():
     assert ahu_signature(star(4)) != ahu_signature(path(4))
     rebuilt = Tree.from_edges(6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)])
     assert ahu_signature(rebuilt) == ahu_signature(path(6))
-    assert ahu_signature(Tree.from_parents([-1])) == "()"
+    assert ahu_signature(Tree([-1])) == "()"
 
 
 # ----------------------------------------------------------- split laws
@@ -330,7 +330,7 @@ def test_ua_seed_edge_split_uniform():
     rng = RngStream(4021)
     s0 = np.empty(runs)
     for r in range(runs):
-        rt = grow("ua", n, rng.substream(r), seed=Tree.from_parents([-1, 0]))
+        rt = grow("ua", n, rng.substream(r), seed=Tree([-1, 0]))
         s0[r] = (_sides(rt) == 0).sum()
     ks = ks_distance_cdf(s0, lambda x: np.clip(np.floor(x) / (n - 1), 0.0, 1.0))
     assert ks < 0.07
@@ -478,7 +478,7 @@ _SEEDS = {"default": None, "star:4": star(4), "path:4": path(4)}
 
 
 def _seed_parts(seed):
-    seed = seed if seed is not None else Tree.from_parents([-1, 0])
+    seed = seed if seed is not None else Tree([-1, 0])
     return seed.edges(), seed.n
 
 
@@ -522,7 +522,7 @@ def test_branch_weights_and_max_degree_match_dense_oracle(model, tmp_path):
                                              ("pa", "either_endpoint", 4)])
 def test_root_finding_success_matches_dense_oracle(model, scoring, K):
     n, replicas = 60, 40
-    edges, n0 = _seed_parts(None if model == "pa" else Tree.from_parents([-1]))
+    edges, n0 = _seed_parts(None if model == "pa" else Tree([-1]))
     rng = RngStream(3400, K)
     got = root_finding_success(model, n, K, replicas, rng, scoring=scoring)
     expect = oracles.dense_root_finding_rate(model, n, K, replicas, rng,
