@@ -10,7 +10,9 @@ dense sphere graphs with d >= n, are drawn through the Bartlett
 decomposition W = L L^T from about n^2/2 numbers, so their cost does not
 grow with d.  The Gram matrix of n uniform sphere points is W(n, d)
 divided by its diagonal, so G(n, p, d) follows from the same draw.
-Uniform and Rademacher entries and d < n keep the direct n x d draw.
+Uniform and Rademacher entries and d < n draw all n d entries, but a
+cache-sized chunk of columns at a time, summing the chunks' Gram
+products, so memory does not grow with d.
 
 Random graphs take the dense store only when graphcore.prefers_dense says
 it pays for the expected edge count; otherwise G(n, p) is drawn by
@@ -196,7 +198,10 @@ def sample_wishart(n: int, d: int, entry_dist: str = "gaussian",
     """Sample one of the ensembles as a read-only n x n float64 array:
 
     - wishart: Y Y^T with Y an n x d matrix of i.i.d. unit-variance entries
-      (for gaussian entries with d >= n, drawn as L L^T by Bartlett);
+      (for gaussian entries with d >= n, drawn as L L^T by Bartlett;
+      otherwise Y is drawn a chunk of columns at a time and the chunks'
+      Gram products are summed, so memory is O(n^2) plus one chunk of at
+      most max(1 MiB, 8 n^2 bytes), whatever d is);
     - goe_shifted: sqrt(d) M(n) + d I with M(n) symmetric, off-diagonal
       variance 1 and diagonal variance 2;
     - wishart_scaled_nodiag: (X X^T - diag(X X^T)) / sqrt(d);
@@ -382,7 +387,7 @@ def _rgg_stack(n: int, p: float, d: int, gens) -> np.ndarray:
     t = threshold(p, d)
     if n <= d:
         X = _bartlett_stack(n, d, gens)
-        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        X /= np.sqrt(np.add.reduce(np.square(X), axis=-1, keepdims=True))
     else:
         X = _sphere_stack(n, d, gens)
     return _dense_rgg(X @ X.swapaxes(-1, -2), t)
@@ -390,16 +395,18 @@ def _rgg_stack(n: int, p: float, d: int, gens) -> np.ndarray:
 
 def _sphere_stack(n: int, d: int, gens) -> np.ndarray:
     """n uniform points on S^{d-1} per generator: normalized standard
-    Gaussians, with any all-zero row drawn again."""
+    Gaussians.  An all-zero row is drawn again from its replica's generator
+    before the next one is taken; the whole block is normalized at the end."""
     X = np.empty((len(gens), n, d))
-    for x, gen in zip(X, gens):
+    norms = np.empty((len(gens), n, 1))
+    for x, sq, gen in zip(X, norms, gens):
         gen.standard_normal(out=x)
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        while (norms == 0.0).any():
-            bad = norms[:, 0] == 0.0
+        np.add.reduce(np.square(x), axis=-1, keepdims=True, out=sq)
+        while (sq == 0.0).any():
+            bad = sq[:, 0] == 0.0
             x[bad] = gen.standard_normal((int(bad.sum()), d))
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-        x /= norms
+            np.add.reduce(np.square(x), axis=-1, keepdims=True, out=sq)
+    X /= np.sqrt(norms, out=norms)
     return X
 
 
@@ -427,18 +434,17 @@ def _bartlett_stack(n: int, d: int, gens) -> np.ndarray:
 def _wishart_stack(n: int, d: int, entry_dist: str, kind: str,
                    gens) -> np.ndarray:
     """The matrices of sample_wishart.  Only gaussian Wishart kinds with
-    d >= n and the GOE kinds are stacked; the others draw an n x d entry
-    matrix, which is multiplied out before the next one is drawn."""
+    d >= n and the GOE kinds are stacked; the others sum the Gram products
+    of column chunks of the entry matrix (_entry_gram), one replica after
+    another."""
     if kind in ("wishart", "wishart_scaled_nodiag"):
         if entry_dist == "gaussian" and d >= n:
             L = _bartlett_stack(n, d, gens)
             W = L @ L.swapaxes(-1, -2)
         else:
-            check_dense(n, 8, "the entry matrix", d)
             W = np.empty((len(gens), n, n))
             for out, gen in zip(W, gens):
-                Y = _draw_entries(gen, (n, d), entry_dist)
-                out[...] = Y @ Y.T
+                _entry_gram(n, d, entry_dist, gen, out)
         W = (W + W.swapaxes(-1, -2)) / 2.0
         if kind == "wishart_scaled_nodiag":
             _diagonal(W)[...] = 0.0
@@ -456,6 +462,42 @@ def _wishart_stack(n: int, d: int, entry_dist: str, kind: str,
         return M
     _diagonal(M)[...] = math.sqrt(2.0) * D
     return math.sqrt(d) * M + d * np.eye(n)
+
+
+# A column chunk of the entry matrix Y in _entry_gram holds at most this many
+# bytes, unless n columns take more, so a chunk and its Gram product stay in
+# a core's L2 cache (2 MiB on the 2-vCPU Xeon this was timed on).  Timed
+# from 256 KiB to 2 MiB at n = 32, d = 1.6e5, one replica alone and two on
+# two threads: 512 KiB and 1 MiB tied, 256 KiB was slower on two threads
+# and 2 MiB on one.
+_CHUNK_BYTES = 1 << 20
+
+
+def _entry_gram(n: int, d: int, entry_dist: str, gen, out: np.ndarray) -> None:
+    """Y Y^T into out, for Y an n x d matrix of i.i.d. entry_dist entries.
+
+    Y is drawn a chunk of c = max(n, _CHUNK_BYTES // (8 n)) columns at a
+    time (the last chunk may be narrower), row-major within the chunk, and
+    the chunk's Gram product is added, so memory is O(n c + n^2) whatever
+    d is.  For d <= c, as for every gaussian draw (d < n here), that is
+    the single draw of Y.  Uniform chunks are drawn into one reused buffer
+    as sqrt(3) (2 U - 1), the bits of gen.uniform(-sqrt(3), sqrt(3)).
+    """
+    width = min(d, max(n, _CHUNK_BYTES // (8 * n)))
+    buf = np.empty(n * width) if entry_dist == "uniform-scaled" else None
+    for start in range(0, d, width):
+        cols = min(width, d - start)
+        if buf is None:
+            Y = _draw_entries(gen, (n, cols), entry_dist)
+        else:
+            Y = buf[:n * cols].reshape(n, cols)
+            gen.random(out=Y)
+            Y *= 2.0 * math.sqrt(3.0)
+            Y -= math.sqrt(3.0)
+        if start == 0:
+            np.matmul(Y, Y.T, out=out)
+        else:
+            out += Y @ Y.T
 
 
 def _dense_rgg(gram: np.ndarray, t: float) -> np.ndarray:

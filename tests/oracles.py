@@ -230,7 +230,10 @@ def _loop_entries(gen, shape, entry_dist: str) -> np.ndarray:
 
 
 def loop_wishart(n: int, d: int, entry_dist: str, kind: str, gen) -> np.ndarray:
-    """One matrix of geom.sample_wishart's ensembles."""
+    """One matrix of geom.sample_wishart's ensembles, with a non-Bartlett
+    Wishart entry matrix drawn as one n x d array (the direct draw).
+    sample_wishart draws it in column chunks, which gives the same bits
+    only while d fits in one chunk."""
     if kind in ("wishart", "wishart_scaled_nodiag"):
         if entry_dist == "gaussian" and d >= n:
             L = loop_bartlett(n, d, gen)
@@ -249,6 +252,16 @@ def loop_wishart(n: int, d: int, entry_dist: str, kind: str, gen) -> np.ndarray:
         return M
     np.fill_diagonal(M, math.sqrt(2.0) * _loop_entries(gen, (n,), entry_dist))
     return math.sqrt(d) * M + d * np.eye(n)
+
+
+def chunked_gram(n: int, d: int, width: int, entry_dist: str, gen) -> np.ndarray:
+    """Y Y^T summed over the column chunks of Y, each of `width` columns
+    but the last, drawn one after another as fresh arrays."""
+    W = np.zeros((n, n))
+    for start in range(0, d, width):
+        Y = _loop_entries(gen, (n, min(width, d - start)), entry_dist)
+        W += Y @ Y.T
+    return W
 
 
 def loop_signs(w: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ from scipy import integrate
 from scipy.special import betainc, betaincinv
 
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
+from oracles import chunked_gram, loop_wishart
+from netinfer import geom
 from netinfer.geom import (
     calibrate_tau,
     detect_geometry,
@@ -71,8 +73,6 @@ def test_sphere_validation():
 def test_n_by_d_draws_are_refused_before_allocation():
     with pytest.raises(DenseSizeError, match="dense 100000 x 100000 array"):
         sample_sphere(10**5, 10**5, RngStream(0, 0))
-    with pytest.raises(DenseSizeError, match="dense 32 x 1000000000 array"):
-        sample_wishart(32, 10**9, entry_dist="uniform-scaled", rng=RngStream(0, 0))
 
 
 # ---------------------------------------------------------- threshold
@@ -574,6 +574,65 @@ def test_bartlett_path_matches_direct_law(n, d):
     direct = replicate(direct, _R, first, jobs=2)
     for k in range(fast.shape[1]):
         assert ks_distance(fast[:, k], direct[:, k]) < _KS_CRIT, k
+
+
+@pytest.mark.parametrize("entry_dist", ["uniform-scaled", "rademacher"])
+@pytest.mark.parametrize("full,extra", [(1, 17), (3, 0)], ids=["c+17", "3c"])
+def test_chunked_entry_gram_matches_direct_law(monkeypatch, entry_dist, full,
+                                               extra):
+    """Wishart matrices summed over column chunks of the entry matrix have
+    the law of the one-array direct draw, at d = c + 17 (a partial last
+    chunk) and d = 3c: two off-diagonal entries of W(n, d), tr(A^3) of the
+    scaled ensemble and tau of h_map(W), each path on its own substreams.
+    The chunk cap is cut to c = 256 columns at n = 16 to keep d small."""
+    n, c = 16, 256
+    monkeypatch.setattr(geom, "_CHUNK_BYTES", 8 * n * c)
+    d = full * c + extra
+    base = RngStream(45, d)
+
+    def stats(W):
+        A = W - np.diag(np.diag(W))
+        return (W[0, 1], W[n - 2, n - 1], tr_cubed(A / math.sqrt(d)),
+                signed_triangle_stat(h_map(W), 0.5))
+
+    def chunked(s):
+        W = sample_wishart(n, d, entry_dist=entry_dist, rng=s)
+        A = sample_wishart(n, d, entry_dist=entry_dist,
+                           kind="wishart_scaled_nodiag", rng=s)
+        assert (A == (W - np.diag(np.diag(W))) / math.sqrt(d)).all()
+        return stats(W)
+
+    def direct(s):
+        return stats(loop_wishart(n, d, entry_dist, "wishart", s.generator()))
+
+    # the chunk layout puts other numbers on the entries than the direct draw
+    s = base.substream(0)
+    assert (sample_wishart(n, d, entry_dist=entry_dist, rng=s)
+            != loop_wishart(n, d, entry_dist, "wishart", s.generator())).any()
+    fast = replicate(chunked, _R, base)
+    slow = replicate(direct, _R, base.substream(_R))
+    for k in range(fast.shape[1]):
+        assert ks_distance(fast[:, k], slow[:, k]) < _KS_CRIT, k
+
+
+@pytest.mark.parametrize("entry_dist", ["uniform-scaled", "rademacher"])
+@pytest.mark.parametrize("n,d,cap", [(16, 273, 8 * 16 * 256),
+                                     (16, 768, 8 * 16 * 256),
+                                     (16, 17, 8 * 16 * 4),
+                                     (32, 10000, None)])
+def test_entry_gram_sums_its_column_chunks(monkeypatch, entry_dist, n, d, cap):
+    """Each chunk is max(n, cap // 8n) columns, the last one partial, drawn
+    in order from the replica's generator; a uniform chunk drawn into the
+    reused buffer has the bits of gen.uniform(-sqrt(3), sqrt(3)).  (Gaussian
+    entries are chunked only for d < n, which is always one chunk.)"""
+    if cap is not None:
+        monkeypatch.setattr(geom, "_CHUNK_BYTES", cap)
+    width = max(n, geom._CHUNK_BYTES // (8 * n))
+    assert width < d
+    s = RngStream(46, d)
+    expect = chunked_gram(n, d, width, entry_dist, s.generator())
+    w = sample_wishart(n, d, entry_dist=entry_dist, rng=s)
+    assert (w == (expect + expect.T) / 2.0).all()
 
 
 @pytest.mark.parametrize("n,d,entry_dist,bartlett", [

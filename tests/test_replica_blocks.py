@@ -84,7 +84,7 @@ def test_sample_wishart_equals_the_one_matrix_oracle(kind, entry_dist, d):
 
 
 def test_unstackable_replicas_stay_plain_functions():
-    # edge-list graphs, the direct n x d entry draw, and parameters the
+    # edge-list graphs, the chunked n x d entry draw, and parameters the
     # single-graph functions reject take the per-replica path
     assert not isinstance(geom.graph_replica(3000, 4 / 3000, "t"), Batched)
     assert not isinstance(geom.matrix_replica(

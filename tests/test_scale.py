@@ -23,12 +23,18 @@ print(json.dumps({"code": proc.returncode, "out": proc.stdout,
 
 _GIB_IN_KIB = 1 << 20
 
-# runs the CLI with the process's address space capped at 4 GiB
+# runs the CLI with the process's address space capped at 4 GiB; when the
+# command returns, the last stderr line is the process's own peak RSS
+# (VmHWM: ru_maxrss would also count what a parent held before the exec)
 _CAPPED = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 from netinfer.cli import main
-sys.exit(main(sys.argv[1:]))
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")),
+          end="", file=sys.stderr)
+sys.exit(code)
 """
 
 
@@ -98,3 +104,21 @@ def test_n_by_d_guard_exits_one_at_once(tmp_path):
     assert proc.stdout == ""
     assert "sphere point matrix needs a dense 5000 x 200000 array" in proc.stderr
     assert "GiB limit" in proc.stderr
+
+
+def test_wide_uniform_wishart_runs_in_little_memory():
+    """A uniform-entry Wishart matrix at n = 32, d = 5 * 10^6 sums the Gram
+    products of cache-sized column chunks, so no 1.3 GB entry matrix is
+    drawn: the command succeeds and its peak RSS stays under 256 MiB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "wishart", "sample", "--entry-dist",
+         "uniform-scaled", "--n", "32", "--d", "5000000", "--replicas", "1",
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["command"] == "wishart sample"
+    assert record["result"]["d"] == 5000000
+    label, peak, unit = proc.stderr.splitlines()[-1].split()
+    assert (label, unit) == ("VmHWM:", "kB")
+    assert int(peak) < 256 << 10, peak
