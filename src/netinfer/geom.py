@@ -480,20 +480,11 @@ def _entry_gram(n: int, d: int, entry_dist: str, gen, out: np.ndarray) -> None:
     time (the last chunk may be narrower), row-major within the chunk, and
     the chunk's Gram product is added, so memory is O(n c + n^2) whatever
     d is.  For d <= c, as for every gaussian draw (d < n here), that is
-    the single draw of Y.  Uniform chunks are drawn into one reused buffer
-    as sqrt(3) (2 U - 1), the bits of gen.uniform(-sqrt(3), sqrt(3)).
+    the single draw of Y.
     """
     width = min(d, max(n, _CHUNK_BYTES // (8 * n)))
-    buf = np.empty(n * width) if entry_dist == "uniform-scaled" else None
     for start in range(0, d, width):
-        cols = min(width, d - start)
-        if buf is None:
-            Y = _draw_entries(gen, (n, cols), entry_dist)
-        else:
-            Y = buf[:n * cols].reshape(n, cols)
-            gen.random(out=Y)
-            Y *= 2.0 * math.sqrt(3.0)
-            Y -= math.sqrt(3.0)
+        Y = _draw_entries(gen, (n, min(width, d - start)), entry_dist)
         if start == 0:
             np.matmul(Y, Y.T, out=out)
         else:

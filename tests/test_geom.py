@@ -622,8 +622,7 @@ def test_chunked_entry_gram_matches_direct_law(monkeypatch, entry_dist, full,
                                      (32, 10000, None)])
 def test_entry_gram_sums_its_column_chunks(monkeypatch, entry_dist, n, d, cap):
     """Each chunk is max(n, cap // 8n) columns, the last one partial, drawn
-    in order from the replica's generator; a uniform chunk drawn into the
-    reused buffer has the bits of gen.uniform(-sqrt(3), sqrt(3)).  (Gaussian
+    in order from the replica's generator as a fresh array.  (Gaussian
     entries are chunked only for d < n, which is always one chunk.)"""
     if cap is not None:
         monkeypatch.setattr(geom, "_CHUNK_BYTES", cap)
