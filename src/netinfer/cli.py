@@ -438,11 +438,14 @@ def _run_geom_dimest(args) -> tuple:
     rng = RngStream(args.seed)
     table = _load_table(args.table)
     means: dict[int, float] = {}
+    reused: dict[str, dict] = {}
     computed = False
     for idx, cand in enumerate(cands):
         key = _table_key(n, p, cand)
         if key in table:
             means[cand] = float(table[key]["mean_geo"])
+            reused[str(cand)] = {k: table[key].get(k)
+                                 for k in ("seed", "replicas")}
             continue
         vals = replicate(geom.graph_replica(n, p, "tau", cand), replicas,
                          rng.substream(idx * replicas), jobs=args.jobs)
@@ -461,7 +464,7 @@ def _run_geom_dimest(args) -> tuple:
               "target": target_src, "statistic": "tau",
               "stat_value": geom.signed_triangle_stat(target, p),
               "calibrated_means": {str(c): means[c] for c in cands},
-              "table": args.table}
+              "reused_from_table": reused, "table": args.table}
     return ({"n": n, "p": p, "candidates": cands, "true_d": args.true_d,
              "jobs": args.jobs}, result)
 

@@ -3,7 +3,9 @@ GOE ensembles, and dimension estimation.
 
 The detection statistic throughout is the signed triangle count
 tau(G) = sum over triples of (A_ij - p)(A_ik - p)(A_jk - p); geometry
-inflates its mean by order n^3/sqrt(d) while the null keeps mean 0.
+inflates its mean by order n^3/sqrt(d) while the null keeps mean 0.  It is
+computed from the triangle count, the degrees and the edge count, so it
+needs no n x n array on the edge store.
 
 Gaussian Wishart matrices W(n, d) with d >= n, and the Gram matrices of
 dense sphere graphs with d >= n, are drawn through the Bartlett
@@ -168,11 +170,26 @@ def triangle_count(g: Graph) -> int:
 
 def signed_triangle_stat(g: Graph, p: float) -> float:
     """Signed triangle statistic tau(G) = Tr(B^3)/6 with B the adjacency
-    centered by p off the diagonal and zero on it."""
+    centered by p off the diagonal and zero on it.
+
+    Expanding Tr((A - pK)^3) with K = J - I, K^2 = (n-2)K + (n-1)I and
+    Tr(A^2 K) = S2 - 2m, where S2 is the sum of squared degrees, gives
+
+        Tr(B^3) = 6T - 3p(S2 - 2m) + 6p^2 (n-2) m - p^3 n(n-1)(n-2),
+
+    so tau comes from the triangle count T, the degrees and the edge count.
+    Where the dense store pays for the graph's edge count (prefers_dense),
+    T and the degrees come from one float32 product, the stacked kernel
+    run on a block of one.  Otherwise T comes from triangle_count's sparse
+    products and the degrees from the compressed rows, so an edge-built
+    graph needs no n x n array.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    check_dense(g.n, 8, "the signed triangle statistic")
-    return float(_tau(g.to_dense(), p))
+    if prefers_dense(g.n, g.m):
+        check_dense(g.n, 4, "the signed triangle statistic")
+        return float(_tau(g.to_dense(), p))
+    return float(_tau_from_counts(g.n, p, triangle_count(g), g.degrees()))
 
 
 def triangle_moments_er(n: int, p: float) -> TriangleMoments:
@@ -511,21 +528,52 @@ def _signs(w: np.ndarray) -> np.ndarray:
 
 
 def _tau(adj: np.ndarray, p: float) -> np.ndarray:
-    """Signed triangle statistic Tr(B^3)/6 of each adjacency matrix."""
-    B = adj.astype(np.float64) - p
-    _diagonal(B)[...] = 0.0
-    P = B @ B
-    P *= B
-    return P.sum(axis=(-2, -1)) / 6.0
+    """Signed triangle statistic Tr(B^3)/6 of each adjacency matrix, from
+    the triangle counts and degrees of one float32 product."""
+    return _tau_from_counts(adj.shape[-1], p, *_triangles_and_degrees(adj))
+
+
+def _tau_from_counts(n: int, p: float, triangles, degrees):
+    """tau = Tr(B^3)/6 of graphs on n vertices from their triangle counts
+    and (..., n) degree arrays.
+
+    Each triple of vertices adds the product of its three centered pairs,
+    so tau = T - p W + p^2 (n-2) m - p^3 C(n,3), with W = sum_i C(d_i, 2)
+    = (S2 - 2m)/2 the number of two-edge paths and (n-2) m the number of
+    (edge, third vertex) pairs: signed_triangle_stat's formula over 6.  T,
+    W, (n-2) m and C(n,3) are integers, exact in float64 below 2^53.  At
+    p = 1/2 every term and partial sum is a multiple of 1/8, so while
+    C(n,3) < 2^50 tau is exact, and so is the float64 product Tr(B^3)/6:
+    the two give the same bits.
+
+    Rounding.  With u = 2^-53, p^2 = fl(p p) and p^3 = fl(p^2 p) carry
+    relative errors of at most g_1 and g_2 (g_k = k u / (1 - k u)), the
+    three products one more each, and the recursive sum of the four terms
+    g_3 times the sum of their magnitudes S = T + p W + p^2 (n-2) m +
+    p^3 C(n,3).  So the result is within g_6 S of tau.  Since T <= C(n,3),
+    W <= 3 C(n,3) and (n-2) m <= 3 C(n,3), S <= (1 + p)^3 C(n,3): a few
+    ulps of (1 + p)^3 C(n,3) at most.
+    """
+    two_m = degrees.sum(axis=-1)
+    wedges = (degrees * (degrees - 1)).sum(axis=-1) // 2
+    p2 = p * p
+    return (triangles - p * wedges + p2 * ((n - 2) * (two_m // 2))
+            - p2 * p * math.comb(n, 3))
 
 
 def _triangles(adj: np.ndarray) -> np.ndarray:
-    """Triangle count Tr(A^3)/6 of each adjacency matrix, exact in float32
-    products and a float64 sum."""
+    """Triangle count Tr(A^3)/6 of each adjacency matrix."""
+    return _triangles_and_degrees(adj)[0]
+
+
+def _triangles_and_degrees(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangle counts Tr(A^3)/6 and int64 degrees, the diagonal of A^2, of
+    each adjacency matrix: exact in float32 products and a float64 sum."""
     a = adj.astype(np.float32)
     P = a @ a
+    degrees = _diagonal(P).astype(np.int64)
     P *= a
-    return np.rint(P.sum(axis=(-2, -1), dtype=np.float64) / 6.0)
+    return np.rint(P.sum(axis=(-2, -1), dtype=np.float64) / 6.0), degrees
 
 
 def _tr3(V: np.ndarray) -> np.ndarray:

@@ -270,10 +270,25 @@ def loop_signs(w: np.ndarray) -> np.ndarray:
     return adj
 
 
-def loop_tau(adj: np.ndarray, p: float) -> float:
+def direct_tau(adj: np.ndarray, p: float) -> float:
+    """The float64 Tr(B^3)/6 with B the adjacency centered by p off the
+    diagonal: the former statistic kernel."""
     B = adj.astype(np.float64) - p
     np.fill_diagonal(B, 0.0)
     return float(((B @ B) * B).sum()) / 6.0
+
+
+def loop_tau(adj: np.ndarray, p: float) -> float:
+    """tau = T - p W + p^2 (n-2) m - p^3 C(n,3) from the triangle count T,
+    the two-edge paths W = sum_i C(d_i, 2) and the edge count m, in the
+    library's order of float operations."""
+    n = adj.shape[0]
+    degrees = [int(row.sum()) for row in adj]
+    wedges = sum(d * (d - 1) // 2 for d in degrees)
+    m = sum(degrees) // 2
+    p2 = p * p
+    return float(loop_triangles(adj) - p * wedges + p2 * ((n - 2) * m)
+                 - p2 * p * math.comb(n, 3))
 
 
 def loop_triangles(adj: np.ndarray) -> float:

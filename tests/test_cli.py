@@ -293,6 +293,26 @@ def test_geom_calibrate_then_dimest_reuses_table(capsys, tmp_path):
     assert "24,0.5,3" in stored  # the missing candidate was appended
 
 
+def test_geom_dimest_names_the_table_entries_it_reuses(capsys, tmp_path):
+    # a mean calibrated at seed 5, reused by a dimest run at seed 6: the
+    # record says which candidate came from the table, and from which run
+    table = tmp_path / "cal.json"
+    run_record(capsys, "geom", "calibrate", "--n", "24", "--p", "0.5",
+               "--d", "2", "--replicas", "100", "--seed", "5",
+               "--table", str(table))
+    dimest = ("geom", "dimest", "--n", "24", "--p", "0.5", "--candidates",
+              "2,3", "--true-d", "2", "--replicas", "100", "--seed", "6")
+    rec = run_record(capsys, *dimest, "--table", str(table))
+    assert rec["seed"] == 6
+    assert rec["result"]["reused_from_table"] == {
+        "2": {"seed": 5, "replicas": 100}}
+    # the d = 3 mean computed at seed 6 was appended, so both are reused now
+    rec = run_record(capsys, *dimest, "--table", str(table))
+    assert rec["result"]["reused_from_table"] == {
+        "2": {"seed": 5, "replicas": 100}, "3": {"seed": 6, "replicas": 100}}
+    assert run_record(capsys, *dimest)["result"]["reused_from_table"] == {}
+
+
 def test_geom_dimest_needs_target(capsys):
     code, _, err = run(capsys, "geom", "dimest", "--n", "24", "--p", "0.5",
                        "--candidates", "2,3", "--replicas", "100",

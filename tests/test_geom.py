@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import integrate
 from scipy.special import betainc, betaincinv
 
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
-from oracles import chunked_gram, loop_wishart
+from oracles import chunked_gram, dense_adj, direct_tau, loop_wishart
 from netinfer import geom
 from netinfer.geom import (
     calibrate_tau,
@@ -31,9 +32,14 @@ from netinfer.geom import (
     _draw_entries,
     _er_stack,
     _rgg_circle,
+    _rgg_stack,
+    _signs,
+    _tau,
+    _wishart_stack,
 )
-from netinfer.graphcore import (DenseSizeError, Graph, RngStream, Tree,
-                                _linear_to_pair, bernoulli_pairs)
+from netinfer.graphcore import (DenseSizeError, Graph, RngStream,
+                                SubstreamGenerators, Tree, _linear_to_pair,
+                                bernoulli_pairs)
 from netinfer.harness import ks_distance, ks_distance_cdf, replicate
 
 # ------------------------------------------------------------- sphere
@@ -400,6 +406,85 @@ def test_signed_triangle_permutation_invariant():
         perm = rng.permutation(25)
         h = Graph(g.adj[np.ix_(perm, perm)])
         assert abs(signed_triangle_stat(h, 0.4) - base) <= 1e-8
+
+
+def _exact_tau(adj, p):
+    """Tr(B^3)/6 in exact rationals, B = A - p(J - I) at the float p."""
+    q = Fraction(p)
+    B = np.array([[Fraction(int(x)) - q if i != j else Fraction(0)
+                   for j, x in enumerate(row)] for i, row in enumerate(adj)],
+                 dtype=object)
+    return ((B @ B) * B).sum() / 6
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 1 / 3, 0.9, 1e-3])
+def test_tau_from_counts_is_within_its_rounding_bound(p):
+    # the bound of geom._tau_from_counts: g_6 (1 + p)^3 C(n, 3) with
+    # g_6 = 6u / (1 - 6u), u = 2^-53; exact at p = 1/2
+    u = Fraction(1, 2 ** 53)
+    gamma6 = 6 * u / (1 - 6 * u)
+    rng = np.random.default_rng(41)
+    for n in range(3, 11):
+        pairs = list(itertools.combinations(range(n), 2))
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            keep = rng.random(len(pairs)) < density
+            adj = dense_adj(n, [e for e, k in zip(pairs, keep) if k])
+            exact = _exact_tau(adj, p)
+            tau = signed_triangle_stat(Graph(adj), p)
+            assert _tau(adj[None], p).tobytes() == np.float64(tau).tobytes()
+            bound = gamma6 * (1 + Fraction(p)) ** 3 * math.comb(n, 3)
+            assert abs(Fraction(tau) - exact) <= bound, (n, density)
+            if p == 0.5:
+                assert Fraction(tau) == exact
+
+
+def _half_stacks(n, gens):
+    """Dense stacks at p = 1/2: G(n, 1/2), G(n, 1/2, 2) from sphere points,
+    G(n, 1/2, 2n) by Bartlett, and h_map of Wishart and shifted GOE."""
+    yield _er_stack(n, 0.5, gens)
+    yield _rgg_stack(n, 0.5, 2, gens)
+    yield _rgg_stack(n, 0.5, 2 * n, gens)
+    yield _signs(_wishart_stack(n, 2 * n, "gaussian", "wishart", gens))
+    yield _signs(_wishart_stack(n, 2 * n, "gaussian", "goe_shifted", gens))
+
+
+@pytest.mark.parametrize("n", [3, 7, 16, 33, 64])
+def test_tau_at_half_equals_the_direct_product(n):
+    gens = SubstreamGenerators(RngStream(42, n), 0, 12)
+    for adj in _half_stacks(n, gens):
+        expect = np.array([direct_tau(a, 0.5) for a in adj])
+        assert _tau(adj, 0.5).tobytes() == expect.tobytes()
+        assert signed_triangle_stat(Graph(adj[0]), 0.5) == expect[0]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("n,q,d", [(40, 0.3, None), (300, 0.01, None),
+                                   (300, 0.01, 2), (2000, 0.002, 5)])
+def test_tau_is_the_same_on_both_stores(n, q, d, p):
+    # the edge-store graph, its dense copy and the stacked dense kernel
+    # (float32 triangle product) give the same bits
+    rng = RngStream(43, n)
+    g = sample_er(n, q, rng) if d is None else sample_rgg(n, q, d, rng)
+    edge_built = Graph.from_edges(n, g.edges())
+    dense = Graph(g.to_dense())
+    assert edge_built.adj is None and dense.adj is not None
+    tau = signed_triangle_stat(edge_built, p)
+    assert signed_triangle_stat(dense, p) == tau
+    assert _tau(dense.adj, p) == tau
+
+
+def test_tau_on_the_edge_store_allocates_no_dense_matrix():
+    # n = 20000: an n x n float64 matrix is 3.2 GB, a boolean one 400 MB
+    g = sample_er(20_000, 2e-4, RngStream(44))
+    assert g.adj is None
+    tracemalloc.start()
+    try:
+        tau = signed_triangle_stat(g, 2e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(tau)
+    assert peak < 16 << 20, peak
 
 
 def test_triangle_moments_er_closed_form():

@@ -122,3 +122,21 @@ def test_wide_uniform_wishart_runs_in_little_memory():
     label, peak, unit = proc.stderr.splitlines()[-1].split()
     assert (label, unit) == ("VmHWM:", "kB")
     assert int(peak) < 256 << 10, peak
+
+
+def test_tau_on_the_edge_store_runs_in_little_memory():
+    """The signed triangle statistic of a sparse graph comes from its
+    triangle count, degrees and edge count, so at n = 20000 no 3 GB n x n
+    float64 matrix is built: the command succeeds in under 256 MiB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "mc", "power", "--pair", "geom",
+         "--stat", "tau", "--n", "20000", "--p", "0.0002", "--d", "2",
+         "--replicas", "100", "--seed", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["command"] == "mc power"
+    assert record["replicas"] == 100
+    label, peak, unit = proc.stderr.splitlines()[-1].split()
+    assert (label, unit) == ("VmHWM:", "kB")
+    assert int(peak) < 256 << 10, peak
