@@ -433,6 +433,8 @@ def _run_geom_calibrate(args) -> tuple:
 
 
 def _run_geom_dimest(args) -> tuple:
+    if args.in_path is None and args.true_d is None:
+        raise UsageError("need --in or --true-d for the target graph")
     n, p, replicas = args.n, args.p, args.replicas
     cands = sorted(set(_int_list(args.candidates)))
     rng = RngStream(args.seed)
@@ -455,8 +457,6 @@ def _run_geom_dimest(args) -> tuple:
                       "replicas": replicas, "seed": args.seed}
     if args.table is not None and computed:
         _write(args.table, _json(table, indent=2))
-    if args.in_path is None and args.true_d is None:
-        raise UsageError("need --in-path or --true-d for the target graph")
     target, target_src = _target(args, args.true_d,
                                  rng.substream(len(cands) * replicas))
     result = {"d_hat": geom.estimate_dimension(target, n, p, cands, means),

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as _sparse
 
 _KEY_LIMIT = 1 << 64  # each Philox key word is an unsigned 64-bit integer
 
@@ -342,13 +341,6 @@ class Tree(Graph):
             edges.setflags(write=False)
             object.__setattr__(self, "_edges", edges)
         return self._edges
-
-
-def sparse_adjacency(g: Graph) -> _sparse.csr_matrix:
-    """The adjacency matrix as a scipy CSR matrix over the graph's rows."""
-    indptr, indices = g.csr()
-    return _sparse.csr_matrix((np.ones(indices.size), indices, indptr),
-                              shape=(g.n, g.n))
 
 
 def bernoulli_positions(total: int, p: float, gen: np.random.Generator) -> np.ndarray:

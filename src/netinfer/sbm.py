@@ -18,11 +18,9 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
-                        bfs_order, sparse_adjacency)
+                        bfs_order)
 
 REGIMES = ("constant", "logarithmic", "linear")
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -175,54 +173,35 @@ def d_t(c1, c2, t: float) -> float:
 
 
 def _d_t_unchecked(a: np.ndarray, b: np.ndarray, t: float) -> float:
-    mask = a > 0
-    geom = np.zeros_like(a)
-    geom[mask] = np.exp(t * np.log(a[mask]) + (1.0 - t) * np.log(b[mask]))
-    return float(np.sum(t * a + (1.0 - t) * b - geom))
+    geom = np.exp(t * np.log(a) + (1.0 - t) * np.log(b))
+    return math.fsum(t * a + (1.0 - t) * b - geom)
 
 
 def ch_divergence(c1, c2) -> PoissonTestResult:
     """Maximize t -> D_t(c1, c2) over [0, 1].
 
-    The objective is concave, so golden-section search converges to the
-    global maximum; one parabolic refinement through three bracketing
-    points then pins t* well below the 1e-9 tolerance, which plain
-    golden section cannot do once the objective differences fall under
-    float rounding.
+    D_t is concave, so its slope sum_x (a - b - a^t b^(1-t) ln(a/b)) falls
+    from >= 0 at t = 0 to <= 0 at t = 1. Bisection on its sign stops at
+    adjacent floats, which 60 halvings reach as t* >= 2^-8 for finite
+    profiles, or at a slope of exactly 0 (equal or mirrored profiles).
+    Both sums are math.fsum, so permuted profile pairs get equal bits.
     """
     a, b = _check_profile_pair(c1, c2)
-
-    def f(t: float) -> float:
-        return _d_t_unchecked(a, b, t)
-
-    lo, hi = 0.0, 1.0
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > 1e-10:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
+    la, lb = np.log(a), np.log(b)
+    diff, lr = a - b, la - lb
+    lo, hi, t = 0.0, 1.0, 0.5
+    for _ in range(60):
+        slope = math.fsum(diff - np.exp(t * la + (1.0 - t) * lb) * lr)
+        if slope == 0.0:
+            break
+        if slope > 0.0:
+            lo = t
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    t0 = (lo + hi) / 2.0
-    t_star, best = t0, f(t0)
-
-    h = 1e-4
-    if h <= t0 <= 1.0 - h:
-        f_minus, f_plus = f(t0 - h), f(t0 + h)
-        denom = f_plus - 2.0 * best + f_minus
-        if denom < 0.0:
-            step = 0.5 * h * (f_minus - f_plus) / denom
-            if abs(step) <= h:
-                t_ref = min(max(t0 + step, 0.0), 1.0)
-                f_ref = f(t_ref)
-                if f_ref >= best:
-                    t_star, best = t_ref, f_ref
-    return PoissonTestResult(d_plus=max(best, 0.0), t_star=t_star)
+            hi = t
+        t = 0.5 * (lo + hi)
+        if not lo < t < hi:
+            break
+    return PoissonTestResult(d_plus=max(_d_t_unchecked(a, b, t), 0.0), t_star=t)
 
 
 def exact_recovery_solvable(params: SbmParams) -> SolvabilityResult:
@@ -234,14 +213,12 @@ def exact_recovery_solvable(params: SbmParams) -> SolvabilityResult:
     _require_logarithmic(params)
     if params.k < 2:
         raise ValueError("solvability needs at least two communities")
-    for i in range(params.k):
-        for j in range(i + 1, params.k):
-            if np.array_equal(params.Q[i], params.Q[j]):
-                raise ValueError(f"rows {i} and {j} of Q are identical")
     profiles = community_profiles(params)
     min_value, min_pair = math.inf, (0, 1)
     for i in range(params.k):
         for j in range(i + 1, params.k):
+            if np.array_equal(params.Q[i], params.Q[j]):
+                raise ValueError(f"rows {i} and {j} of Q are identical")
             val = ch_divergence(profiles[i], profiles[j]).d_plus
             if val < min_value:
                 min_value, min_pair = val, (i, j)
@@ -422,7 +399,8 @@ def genie_recover(lg: LabeledGraph, params: SbmParams, corruption: float,
     """Oracle-aided recovery: corrupt the true labels i.i.d. at the given
     rate, then run synchronous rounds that re-classify every vertex by the
     MAP rule on its degree profile measured against the previous round's
-    labels, with Poisson means ln(n) (PQ)_j.
+    labels, with Poisson means ln(n) (PQ)_j. A round counts all neighbours
+    by label with one bincount over the sparse rows, as degree_profile does.
     """
     _require_logarithmic(params)
     if not 0.0 <= corruption < 0.5:
@@ -430,6 +408,8 @@ def genie_recover(lg: LabeledGraph, params: SbmParams, corruption: float,
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     n, k = lg.graph.n, params.k
+    if lg.labels.size and lg.labels.max() >= k:
+        raise ValueError("labels must lie below params.k")
     gen = rng.generator()
     labels = lg.labels.copy()
     if corruption > 0.0 and k > 1:
@@ -437,13 +417,11 @@ def genie_recover(lg: LabeledGraph, params: SbmParams, corruption: float,
         offset = gen.integers(1, k, size=n)
         labels[flip] = (labels[flip] + offset[flip]) % k
     L = math.log(n) * np.column_stack(community_profiles(params)).T
-    adj = sparse_adjacency(lg.graph)
+    indptr, indices = lg.graph.csr()
+    rows = np.repeat(np.arange(n) * k, np.diff(indptr))
     for _ in range(rounds):
-        onehot = np.zeros((n, k), dtype=np.float64)
-        onehot[np.arange(n), labels] = 1.0
-        dmat = adj @ onehot
-        scores = _map_scores(dmat, L, params.p)
-        labels = np.argmax(scores, axis=1)
+        dmat = np.bincount(rows + labels[indices], minlength=n * k)
+        labels = np.argmax(_map_scores(dmat.reshape(n, k), L, params.p), axis=1)
     return labels
 
 
@@ -456,7 +434,8 @@ def _check_profile_pair(c1, c2) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("profiles must be nonnegative")
     if ((a > 0) != (b > 0)).any():
         raise ValueError("profiles must share the same support")
-    return a, b
+    # coordinates outside the support add exactly 0 to every sum
+    return a[a > 0], b[a > 0]
 
 
 def _require_logarithmic(params: SbmParams) -> None:

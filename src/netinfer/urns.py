@@ -125,9 +125,6 @@ class UrnTrajectory:
     def snapshots(self) -> list[tuple[int, np.ndarray]]:
         return [(int(t), row) for t, row in zip(self.totals, self.counts)]
 
-    def fractions(self) -> np.ndarray:
-        return self.counts / self.totals[:, None]
-
 
 class LimitLawResult(NamedTuple):
     ks: float  # max KS over marginals

@@ -1,10 +1,11 @@
 """Reference implementations on dense adjacency matrices and Python loops.
 
 These are the former library paths, kept as oracles: the edge store, the
-parent-array trees, the block-pair SBM sampler, the urn ensemble, the
-replica loops of `sbm recover` and the degree-scaling experiment, and the
-one-matrix-at-a-time geometry replicas are checked against them for
-identical results (where the arithmetic is the same) or the same law.
+parent-array trees, the block-pair SBM sampler, the one-hot product of
+genie-aided recovery, the urn ensemble, the replica loops of `sbm
+recover` and the degree-scaling experiment, and the one-matrix-at-a-time
+geometry replicas are checked against them for identical results (where
+the arithmetic is the same) or the same law.
 The tree helpers at the end (a uniform relabeling, component sizes, psi,
 AHU signatures) are the definitions the tests check the library against.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse
 
 from netinfer import sbm
 from netinfer.geom import threshold
@@ -135,6 +137,28 @@ def loop_sbm_recover(n: int, params, corruption: float, rounds: int,
         exact += bool((recovered == lg.labels).all())
     rate = exact / replicas
     return float(accuracies.mean()), rate, math.sqrt(rate * (1 - rate) / replicas)
+
+
+def product_genie_recover(lg, params, corruption: float, rounds: int,
+                          rng) -> np.ndarray:
+    """genie_recover with each round's label counts taken as the product of
+    the CSR adjacency matrix and a float one-hot label matrix."""
+    n, k = lg.graph.n, params.k
+    gen = rng.generator()
+    labels = lg.labels.copy()
+    if corruption > 0.0 and k > 1:
+        flip = gen.random(n) < corruption
+        offset = gen.integers(1, k, size=n)
+        labels[flip] = (labels[flip] + offset[flip]) % k
+    L = math.log(n) * np.column_stack(sbm.community_profiles(params)).T
+    indptr, indices = lg.graph.csr()
+    adj = scipy.sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                                  shape=(n, n))
+    for _ in range(rounds):
+        onehot = np.zeros((n, k), dtype=np.float64)
+        onehot[np.arange(n), labels] = 1.0
+        labels = np.argmax(sbm._map_scores(adj @ onehot, L, params.p), axis=1)
+    return labels
 
 
 def loop_degree_scaling(n_values, runs: int, rng, model: str) -> tuple[float, tuple]:

@@ -155,6 +155,14 @@ def test_sbm_chd_record(capsys):
     assert res["min_pair"] == [0, 1]
 
 
+def test_sbm_chd_readme_record_is_exact(capsys):
+    # mirrored profiles: the slope is exactly 0 at t = 1/2, where D = 2
+    res = run_record(capsys, "sbm", "chd", "--k", "2", "--a", "9",
+                     "--b", "1")["result"]
+    assert res["t_star"] == 0.5
+    assert abs(res["d_plus"] - 2.0) <= 4 * math.ulp(2.0)
+
+
 def test_sbm_solvable(capsys):
     rec = run_record(capsys, "sbm", "solvable", "--k", "2", "--a", "9",
                      "--b", "1")
@@ -319,6 +327,23 @@ def test_geom_dimest_needs_target(capsys):
                        "--seed", "6")
     assert code == 2
     assert "--true-d" in err
+
+
+def test_geom_dimest_checks_target_before_calibrating(capsys, tmp_path,
+                                                     monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrated before checking the target")
+
+    monkeypatch.setattr(cli, "replicate", refuse)
+    table = tmp_path / "t.json"
+    argv = ("geom", "dimest", "--n", "64", "--p", "0.5", "--candidates",
+            "2,4,8", "--replicas", "2000", "--seed", "1", "--table", str(table))
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "--in or --true-d" in err
+    assert not table.exists()
+    table.write_text("{}")
+    assert run(capsys, *argv)[0] == 2
+    assert table.read_text() == "{}"
 
 
 def test_geom_sparse(capsys):

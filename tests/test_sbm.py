@@ -176,6 +176,36 @@ def test_ch_divergence_symmetric_closed_form_spot():
         assert abs(got - (math.sqrt(a) - math.sqrt(b)) ** 2 / k) <= 1e-8
 
 
+def test_ch_divergence_one_coordinate_t_star_closed_form():
+    # the slope a - b - a^t b^(1-t) ln(a/b) vanishes at
+    # t* = ln((a - b) / (b ln(a/b))) / ln(a/b)
+    values = (0.3, 0.5, 1.0, 2.0, 3.7, 5.0, 9.0, 20.0)
+    for a in values:
+        for b in values:
+            if a == b:
+                continue
+            r = math.log(a / b)
+            closed = math.log((a - b) / (b * r)) / r
+            assert abs(ch_divergence([a], [b]).t_star - closed) <= 1e-12, (a, b)
+
+
+def test_ch_divergence_mirrored_pair_stops_at_one_half():
+    for c1 in ([4.5, 0.5], [1.2, 3.4, 0.7], [0.1, 8.0, 2.5, 2.5]):
+        res = ch_divergence(c1, c1[::-1])
+        assert res.t_star == 0.5
+        assert res.d_plus == ch_divergence(c1[::-1], c1).d_plus
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_symmetric_pairs_have_bit_equal_divergence(k):
+    params = SbmParams.symmetric(k, 5.0, 0.5)
+    profs = community_profiles(params)
+    values = {ch_divergence(profs[i], profs[j]).d_plus
+              for i in range(k) for j in range(i + 1, k)}
+    assert len(values) == 1
+    assert exact_recovery_solvable(params).min_pair == (0, 1)
+
+
 # ----------------------------------------------------------- solvability
 
 
@@ -625,3 +655,34 @@ def test_genie_recover_accuracy_improves_with_rounds():
         means.append(np.mean(acc))
     assert means[0] < means[1] <= means[2] + 1e-9
     assert means[0] == pytest.approx(0.7, abs=0.02)
+
+
+def _with_isolated_vertices(lg: LabeledGraph, extra: int) -> LabeledGraph:
+    n = lg.graph.n + extra
+    labels = np.concatenate((lg.labels, np.arange(extra) % (lg.labels.max() + 1)))
+    return LabeledGraph(Graph.from_edges(n, lg.graph.edges()), labels)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_genie_recover_matches_one_hot_product(k):
+    params = (SbmParams(k=1, p=np.array([1.0]), Q=np.array([[4.0]])) if k == 1
+              else SbmParams.symmetric(k, 7.0, 1.5))
+    for seed in range(3):
+        lg = sample_sbm(150, params, RngStream(18, seed))
+        graphs = (lg, _with_isolated_vertices(lg, 7))
+        for g in graphs:
+            for rounds in (0, 1, 3):
+                for corruption in (0.0, 0.3):
+                    got = genie_recover(g, params, corruption, rounds,
+                                        RngStream(19, seed))
+                    want = oracles.product_genie_recover(
+                        g, params, corruption, rounds, RngStream(19, seed))
+                    assert np.array_equal(got, want)
+
+
+def test_genie_recover_rejects_labels_beyond_k():
+    params = SbmParams.symmetric(2, 9.0, 1.0)
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="below params.k"):
+        genie_recover(LabeledGraph(g, np.array([0, 1, 2])), params, 0.0, 1,
+                      RngStream(20, 0))
