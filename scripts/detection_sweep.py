@@ -10,9 +10,8 @@ import argparse
 import csv
 import sys
 
-from netinfer.geom import graph_replica
+from netinfer.geom import calibrate_tau
 from netinfer.graphcore import RngStream
-from netinfer.harness import power_from_samples, two_arm
 
 
 def main() -> int:
@@ -31,10 +30,8 @@ def main() -> int:
     rng = RngStream(args.seed)
     rows = []
     for i, d in enumerate(dims):
-        report = power_from_samples(*two_arm(
-            graph_replica(args.n, args.p, "tau"),
-            graph_replica(args.n, args.p, "tau", d),
-            args.replicas, rng.substream(2 * args.replicas * i)))
+        report = calibrate_tau(args.n, args.p, d, args.replicas,
+                               rng.substream(2 * args.replicas * i))
         rows.append({"d": d, "power": report.power, "size": report.size,
                      "separation": report.power - report.size,
                      "threshold": report.threshold})

@@ -207,10 +207,11 @@ def _read_graph(path: str) -> Graph:
 # two-arm commands: a null sample against an alternative sample
 
 
-def _run_two_arm(arms: Callable, reduce: Callable, args) -> tuple:
-    """Draw both arms with two_arm, write the CSV pair, and reduce the
-    samples; arms(args) is (null_fn, alt_fn, statistic, null, alt names)."""
-    null_fn, alt_fn, stat, *names = arms(args)
+def _draw_arms(args, arms: tuple) -> tuple:
+    """Both samples of arms = (null_fn, alt_fn, statistic, null name, alt
+    name), drawn with two_arm; --csv writes each to its own side file,
+    <root>_null<ext> and <root>_alt<ext>."""
+    null_fn, alt_fn, stat, *names = arms
     samples = two_arm(null_fn, alt_fn, args.replicas, RngStream(args.seed),
                       jobs=getattr(args, "jobs", 1))
     if args.csv is not None:
@@ -218,7 +219,7 @@ def _run_two_arm(arms: Callable, reduce: Callable, args) -> tuple:
         for suffix, name, vals in zip(("_null", "_alt"), names, samples):
             _write(root + suffix + (ext or ".csv"),
                    _csv(f"{stat},{name}", vals.tolist()))
-    return reduce(args, stat, names, *samples)
+    return samples
 
 
 def _model_arms(args, pair: str, stat: str) -> tuple:
@@ -247,84 +248,83 @@ def _target(args, d, stream: RngStream) -> tuple:
     return geom.sample_rgg(args.n, args.p, d, stream), "sampled-rgg"
 
 
-def _detect_reduce(args, stat, names, null_vals, alt_vals) -> tuple:
+def _run_geom_detect(args) -> tuple:
     params = {"n": args.n, "p": args.p, "d": args.d}
-    fields = _power_fields(null_vals, alt_vals)
+    fields = _power_fields(*_draw_arms(args, _model_arms(args, "geom", "tau")))
     target, target_src = _target(
         args, args.d, RngStream(args.seed).substream(2 * args.replicas))
     detection = geom.detect_geometry(target, args.n, args.p,
                                      fields["threshold"])
     calibration = {key: fields.pop(key) for key in
                    ("threshold", "mean_null", "mean_alt", "sd_null", "sd_alt")}
-    result = {**params, **fields, "model": "er-vs-rgg", "statistic": stat,
+    result = {**params, **fields, "model": "er-vs-rgg", "statistic": "tau",
               "verdict": detection.verdict, "stat_value": detection.statistic,
               "target": target_src,
               "calibration": {**calibration, "replicas": args.replicas}}
     return {**params, "jobs": args.jobs}, result
 
 
-def _compare_reduce(args, stat, names, null_vals, alt_vals) -> tuple:
+def _run_wishart_compare(args) -> tuple:
+    arms = _model_arms(args, "wishart", args.stat)
+    null_vals, alt_vals = _draw_arms(args, arms)
     params = {"n": args.n, "d": args.d, "entry_dist": args.entry_dist}
     result = {**params, **_power_fields(null_vals, alt_vals),
-              "statistic": stat, "null_kind": names[0], "alt_kind": names[1],
+              "statistic": args.stat, "null_kind": arms[3],
+              "alt_kind": arms[4],
               "log_concave_entries": args.entry_dist != "rademacher",
               "tv_lower_bound": tv_lower_bound(null_vals, alt_vals)}
-    return {**params, "stat": stat, "jobs": args.jobs}, result
+    return {**params, "stat": args.stat, "jobs": args.jobs}, result
 
 
-def _seedtest_arms(args) -> tuple:
+def _run_tree_seedtest(args) -> tuple:
     def arm(seed_tree):
         tree = _parse_seed_tree(seed_tree)
         return lambda s: float(trees.max_degree(
             trees.grow(args.model, args.n, s, seed=tree)).degree)
-    return arm(args.seed_a), arm(args.seed_b), "max_degree", "seed_a", "seed_b"
-
-
-def _seedtest_reduce(args, stat, names, vals_a, vals_b) -> tuple:
+    vals_a, vals_b = _draw_arms(args, (arm(args.seed_a), arm(args.seed_b),
+                                       "max_degree", "seed_a", "seed_b"))
     params = {"model": args.model, "n": args.n, "seed_a": args.seed_a,
               "seed_b": args.seed_b}
-    result = {**params, "statistic": stat, "replicas": args.replicas,
+    result = {**params, "statistic": "max_degree", "replicas": args.replicas,
               "mean_a": float(vals_a.mean()), "mean_b": float(vals_b.mean()),
               "ks": ks_distance(vals_a, vals_b),
               "tv_lower_bound": tv_lower_bound(vals_a, vals_b)}
     return params, result
 
 
-def _mc_arms(args) -> tuple:
+def _mc_samples(args) -> tuple:
+    """An mc command's parameters, the result fields that mc power and mc
+    tv share, and the two samples, once --stat is checked against --pair."""
     if args.pair == "geom":
         _need(args, "p")
         if args.stat == "tr3":
             raise UsageError("--stat must be tau or t for the geom pair")
     elif args.stat != "tr3":
         raise UsageError("--stat must be tr3 for the wishart pair")
-    return _model_arms(args, args.pair, args.stat)
-
-
-def _mc_params(args) -> dict:
+    arms = _model_arms(args, args.pair, args.stat)
     params = {"pair": args.pair, "n": args.n, "d": args.d, "stat": args.stat,
-              "jobs": args.jobs}
-    if args.pair == "geom":
-        return {**params, "p": args.p}
-    return {**params, "entry_dist": args.entry_dist}
+              "jobs": args.jobs, **({"p": args.p} if args.pair == "geom"
+                                    else {"entry_dist": args.entry_dist})}
+    shared = {"null": arms[3], "alt": arms[4], "statistic": args.stat}
+    return params, shared, *_draw_arms(args, arms)
 
 
-def _mc_power_reduce(args, stat, names, null_vals, alt_vals) -> tuple:
-    result = {"null": names[0], "alt": names[1], "statistic": stat,
-              **_power_fields(null_vals, alt_vals),
-              "uncertainty_note": "standard errors are binomial; +/-3 se is "
-                                  "the reporting convention"}
-    return _mc_params(args), result
+def _run_mc_power(args) -> tuple:
+    params, shared, null_vals, alt_vals = _mc_samples(args)
+    return params, {**shared, **_power_fields(null_vals, alt_vals),
+                    "uncertainty_note": "standard errors are binomial; +/-3 "
+                                        "se is the reporting convention"}
 
 
-def _mc_tv_reduce(args, stat, names, null_vals, alt_vals) -> tuple:
-    result = {"null": names[0], "alt": names[1], "statistic": stat,
-              "tv_lower_bound": tv_lower_bound(null_vals, alt_vals),
-              "ks": ks_distance(null_vals, alt_vals),
-              "mean_null": float(null_vals.mean()),
-              "mean_alt": float(alt_vals.mean()),
-              "note": "statistic-induced events lower-bound the model TV "
-                      "(data processing)"}
-    return _mc_params(args), result
+def _run_mc_tv(args) -> tuple:
+    params, shared, null_vals, alt_vals = _mc_samples(args)
+    return params, {**shared,
+                    "tv_lower_bound": tv_lower_bound(null_vals, alt_vals),
+                    "ks": ks_distance(null_vals, alt_vals),
+                    "mean_null": float(null_vals.mean()),
+                    "mean_alt": float(alt_vals.mean()),
+                    "note": "statistic-induced events lower-bound the model "
+                            "TV (data processing)"}
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,6 @@ def _run_geom_dimest(args) -> tuple:
     table = _load_table(args.table)
     means: dict[int, float] = {}
     reused: dict[str, dict] = {}
-    computed = False
     for idx, cand in enumerate(cands):
         key = _table_key(n, p, cand)
         if key in table:
@@ -452,10 +451,9 @@ def _run_geom_dimest(args) -> tuple:
         vals = replicate(geom.graph_replica(n, p, "tau", cand), replicas,
                          rng.substream(idx * replicas), jobs=args.jobs)
         means[cand] = float(vals.mean())
-        computed = True
         table[key] = {"statistic": "tau", "mean_geo": means[cand],
                       "replicas": replicas, "seed": args.seed}
-    if args.table is not None and computed:
+    if args.table is not None and len(reused) < len(cands):
         _write(args.table, _json(table, indent=2))
     target, target_src = _target(args, args.true_d,
                                  rng.substream(len(cands) * replicas))
@@ -493,8 +491,7 @@ def _run_wishart_sample(args) -> tuple:
     result = {**params, "statistic": "tr_cubed", "csv": csv,
               "log_concave_entries": args.entry_dist != "rademacher",
               "mean": float(vals.mean()), "sd": sd,
-              "se": (float(vals.std(ddof=1) / math.sqrt(replicas))
-                     if replicas > 1 else None)}
+              "se": None if sd is None else sd / math.sqrt(replicas)}
     return {**params, "jobs": args.jobs}, result
 
 
@@ -661,11 +658,6 @@ MC_PAIR = (
 )
 
 
-def _two_arm_row(name, text, flags, arms, reduce, floor) -> Command:
-    return Command(name, text, flags,
-                   functools.partial(_run_two_arm, arms, reduce), floor)
-
-
 GROUPS = {
     "sbm": "block-model recovery experiments",
     "geom": "geometry detection experiments",
@@ -693,10 +685,9 @@ COMMANDS = (
     Command("geom gen", "sample an ER or geometric graph to a file", (
         N, P, Flag("d", int, "sphere dimension; omit for ER"), OUT,
         CONFIG, SEED), _run_geom_gen),
-    _two_arm_row("geom detect", "calibrated geometric-vs-random verdict", (
+    Command("geom detect", "calibrated geometric-vs-random verdict", (
         N, P, D, Flag("in_path", help="graph file to classify", option="--in"),
-        CONFIG, SEED, REPLICAS, JOBS, CSV),
-        lambda args: _model_arms(args, "geom", "tau"), _detect_reduce, 100),
+        CONFIG, SEED, REPLICAS, JOBS, CSV), _run_geom_detect, floor=100),
     Command("geom calibrate", "tau thresholds for (n, p, d)", (
         N, P, D, Flag("table", help="JSON calibration table to update"),
         CONFIG, SEED, REPLICAS), _run_geom_calibrate, floor=100),
@@ -714,11 +705,9 @@ COMMANDS = (
         N, D, Flag("kind", choices=tuple(geom.WISHART_KINDS),
                    default="wishart_scaled_nodiag"), ENTRY_DIST,
         CONFIG, SEED, ONE_REPLICA, JOBS, CSV), _run_wishart_sample, floor=1),
-    _two_arm_row("wishart compare", "Wishart vs GOE separation", (
+    Command("wishart compare", "Wishart vs GOE separation", (
         N, D, ENTRY_DIST, Flag("stat", choices=("tr3", "tau"), default="tr3"),
-        CONFIG, SEED, REPLICAS, JOBS, CSV),
-        lambda args: _model_arms(args, "wishart", args.stat), _compare_reduce,
-        100),
+        CONFIG, SEED, REPLICAS, JOBS, CSV), _run_wishart_compare, floor=100),
     Command("urn run", "one trajectory with checkpoints", (
         *URN_STATE, Flag("steps", int, required=True),
         Flag("checkpoints", help="comma list of draw indices"),
@@ -745,14 +734,14 @@ COMMANDS = (
         Flag("scoring", choices=("root", "either_endpoint"), default="root"),
         Flag("seed_tree"),
         CONFIG, SEED, REPLICAS), _run_tree_root, floor=1),
-    _two_arm_row("tree seedtest", "statistic separation between seeds", (
+    Command("tree seedtest", "statistic separation between seeds", (
         MODEL, N, Flag("seed_a", help="star:N | path:N | file", required=True),
         Flag("seed_b", help="star:N | path:N | file", required=True),
-        CONFIG, SEED, REPLICAS, CSV), _seedtest_arms, _seedtest_reduce, 2),
-    _two_arm_row("mc power", "threshold-test power and size", MC_PAIR,
-                 _mc_arms, _mc_power_reduce, 100),
-    _two_arm_row("mc tv", "statistic-induced TV lower bound", MC_PAIR,
-                 _mc_arms, _mc_tv_reduce, 2),
+        CONFIG, SEED, REPLICAS, CSV), _run_tree_seedtest, floor=2),
+    Command("mc power", "threshold-test power and size", MC_PAIR,
+            _run_mc_power, floor=100),
+    Command("mc tv", "statistic-induced TV lower bound", MC_PAIR,
+            _run_mc_tv, floor=2),
 )
 
 

@@ -324,28 +324,19 @@ def triangular_urn_scaling(initial: UrnState, n_values: Sequence[int],
 
 
 def _limit_marginals(initial: UrnState, law: str) -> tuple[tuple, tuple]:
-    repl = initial.replacement
-    m = initial.colors
-    diag = np.diag(repl)
-    is_scaled_identity = (np.array_equal(repl, np.diag(diag))
-                          and np.all(diag == diag[0]) and diag[0] >= 1)
-    if law == "beta":
-        if m != 2:
-            raise ValueError("beta limit requires exactly two colors")
-        if not np.array_equal(repl, np.eye(2, dtype=np.int64)):
-            raise ValueError("beta limit requires identity replacement")
-        k = 1
-    elif law == "dirichlet":
-        if not np.array_equal(repl, np.eye(m, dtype=np.int64)):
-            raise ValueError("dirichlet limit requires identity replacement")
-        k = 1
-    elif law == "dirichlet_scaled":
-        if not is_scaled_identity:
-            raise ValueError(
-                "scaled dirichlet limit requires replacement k*identity")
-        k = int(diag[0])
-    else:
+    """Beta parameters of the marginals of the Dirichlet(r/k) limit of a
+    k*identity urn; "beta" and "dirichlet" take k = 1, "beta" two colors."""
+    if law not in ("beta", "dirichlet", "dirichlet_scaled"):
         raise ValueError(f"unknown limit law: {law!r}")
+    if law == "beta" and initial.colors != 2:
+        raise ValueError("beta limit requires exactly two colors")
+    scaled = law == "dirichlet_scaled"
+    k = int(initial.replacement[0, 0]) if scaled else 1
+    if k < 1 or not np.array_equal(initial.replacement,
+                                   k * np.eye(initial.colors, dtype=np.int64)):
+        raise ValueError("scaled dirichlet limit requires replacement "
+                         "k*identity" if scaled else
+                         f"{law} limit requires identity replacement")
     if np.any(initial.counts < 1):
         raise ValueError("limit laws require at least one ball of each color")
     r = initial.counts.astype(np.float64)

@@ -1,4 +1,5 @@
-"""Statistical assertion helpers shared by the test modules.
+"""Statistical assertion helpers shared by the test modules, and the
+environment of the child interpreters that some tests start.
 
 Monte Carlo assertions use a 3-standard-error band throughout; with the
 replica counts in this suite each check has a false-alarm rate near
@@ -8,8 +9,21 @@ replica counts in this suite each check has a false-alarm rate near
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
+
+import netinfer
+
+
+def child_env() -> dict:
+    """os.environ with the directory of the netinfer package under test
+    first on PYTHONPATH, so that a child interpreter imports the same
+    package, also from a checkout that is not installed."""
+    src = str(Path(netinfer.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def binom_se(p: float, n: int) -> float:

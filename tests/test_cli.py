@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from checks import child_env
 from netinfer import cli, urns
 from netinfer.cli import main
 from netinfer.graphcore import RngStream, parse_edge_list
@@ -611,7 +612,7 @@ def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "netinfer.cli", "sbm", "chd", "--k", "2",
          "--a", "9", "--b", "1"],
-        capture_output=True, text=True, timeout=120)
+        env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["result"]["d_plus"] == pytest.approx(2.0, abs=1e-8)

@@ -1,12 +1,14 @@
 """The CLI built from its command table: the flag surface is pinned,
 --config values are checked like flags, and the records of the README
-commands hold what the library returns at the same seed.
+commands and the CSV pairs of the two-arm commands hold what the library
+returns at the same seed.
 
 Commands run in-process through cli.main at small sizes.
 """
 
 import argparse
 import json
+import os
 
 import pytest
 
@@ -315,3 +317,58 @@ def test_mc_power_record_equals_library(capsys):
         100, RngStream(1)))
     expect = _power_fields(report)
     assert {k: res[k] for k in expect} == expect
+
+
+# ----------------------------------------------------------- two-arm CSV pairs
+
+
+def _max_degree_arm(model, n, seed_tree):
+    return lambda s: float(trees.max_degree(
+        trees.grow(model, n, s, seed=seed_tree)).degree)
+
+
+@pytest.mark.parametrize("argv,csv,stat,arms,names", [
+    (("geom", "detect", "--n", "16", "--p", "0.5", "--d", "3",
+      "--replicas", "100", "--seed", "4"), "tau.csv", "tau",
+     lambda: (geom.graph_replica(16, 0.5, "tau"),
+              geom.graph_replica(16, 0.5, "tau", 3)), ("er", "rgg")),
+    (("wishart", "compare", "--n", "8", "--d", "16", "--stat", "tr3",
+      "--replicas", "100", "--seed", "9"), "w.txt", "tr3",
+     lambda: tuple(geom.matrix_replica(8, 16, "gaussian", kind, "tr3")
+                   for kind in ("goe_nodiag", "wishart_scaled_nodiag")),
+     ("goe_nodiag", "wishart_scaled_nodiag")),
+    (("wishart", "compare", "--n", "8", "--d", "16", "--stat", "tau",
+      "--entry-dist", "rademacher", "--replicas", "100", "--seed", "9"),
+     "w", "tau",
+     lambda: tuple(geom.matrix_replica(8, 16, "rademacher", kind, "tau")
+                   for kind in ("goe_shifted", "wishart")),
+     ("goe_shifted", "wishart")),
+    (("tree", "seedtest", "--model", "pa", "--n", "60", "--seed-a", "star:4",
+      "--seed-b", "path:4", "--replicas", "30", "--seed", "37"), "deg.csv",
+     "max_degree",
+     lambda: (_max_degree_arm("pa", 60, trees.star(4)),
+              _max_degree_arm("pa", 60, trees.path(4))), ("seed_a", "seed_b")),
+    (("mc", "power", "--pair", "geom", "--n", "16", "--p", "0.5", "--d", "2",
+      "--stat", "t", "--replicas", "100", "--seed", "1", "--jobs", "2"),
+     "mp.csv", "t",
+     lambda: (geom.graph_replica(16, 0.5, "t"),
+              geom.graph_replica(16, 0.5, "t", 2)), ("er", "rgg")),
+    (("mc", "tv", "--pair", "wishart", "--n", "8", "--d", "32",
+      "--stat", "tr3", "--entry-dist", "uniform-scaled", "--replicas", "50",
+      "--seed", "41"), "tv.csv", "tr3",
+     lambda: tuple(geom.matrix_replica(8, 32, "uniform-scaled", kind, "tr3")
+                   for kind in ("goe_nodiag", "wishart_scaled_nodiag")),
+     ("goe_nodiag", "wishart_scaled_nodiag")),
+], ids=["geom-detect", "wishart-compare-tr3", "wishart-compare-tau",
+        "tree-seedtest", "mc-power", "mc-tv"])
+def test_two_arm_csv_pair_equals_library(capsys, tmp_path, argv, csv, stat,
+                                         arms, names):
+    rec = record(capsys, *argv, "--csv", str(tmp_path / csv))
+    root, ext = os.path.splitext(csv)
+    files = [root + "_null" + (ext or ".csv"), root + "_alt" + (ext or ".csv")]
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+    samples = two_arm(*arms(), rec["replicas"], RngStream(rec["seed"]))
+    for path, name, vals in zip(files, names, samples):
+        lines = (tmp_path / path).read_text().splitlines()
+        assert lines[0] == f"{stat},{name}"
+        assert lines[1:] == [str(v) for v in vals.tolist()]

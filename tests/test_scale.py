@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from checks import child_env
+
 _WRAPPER = """
 import json, resource, subprocess, sys
 proc = subprocess.run([sys.executable, "-m", "netinfer.cli"] + sys.argv[1:],
@@ -41,7 +43,8 @@ sys.exit(code)
 def _run_wrapped(argv: str) -> tuple[dict, dict]:
     """(wrapper report, the command's JSON record) for one CLI command."""
     proc = subprocess.run([sys.executable, "-c", _WRAPPER] + argv.split(),
-                          capture_output=True, text=True, timeout=300)
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert run["code"] == 0, run["err"]
@@ -85,7 +88,7 @@ def test_dense_guard_exits_one_at_once():
         [sys.executable, "-m", "netinfer.cli", "mc", "power", "--pair", "geom",
          "--stat", "tau", "--n", "200000", "--p", "0.5", "--d", "2",
          "--replicas", "100", "--seed", "1"],
-        capture_output=True, text=True, timeout=60)
+        env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "dense 200000 x 200000 array" in proc.stderr
@@ -99,7 +102,7 @@ def test_n_by_d_guard_exits_one_at_once(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED, "geom", "gen", "--n", "5000", "--p",
          "0.001", "--d", "200000", "--seed", "1", "--out", str(tmp_path / "g.txt")],
-        capture_output=True, text=True, timeout=60)
+        env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "sphere point matrix needs a dense 5000 x 200000 array" in proc.stderr
@@ -114,7 +117,7 @@ def test_wide_uniform_wishart_runs_in_little_memory():
         [sys.executable, "-c", _CAPPED, "wishart", "sample", "--entry-dist",
          "uniform-scaled", "--n", "32", "--d", "5000000", "--replicas", "1",
          "--seed", "1"],
-        capture_output=True, text=True, timeout=300)
+        env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
     assert record["command"] == "wishart sample"
@@ -132,7 +135,7 @@ def test_tau_on_the_edge_store_runs_in_little_memory():
         [sys.executable, "-c", _CAPPED, "mc", "power", "--pair", "geom",
          "--stat", "tau", "--n", "20000", "--p", "0.0002", "--d", "2",
          "--replicas", "100", "--seed", "1"],
-        capture_output=True, text=True, timeout=300)
+        env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
     assert record["command"] == "mc power"

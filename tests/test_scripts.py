@@ -1,24 +1,20 @@
 """Smoke tests for the sweep scripts in scripts/: each runs in a fresh
 process at a tiny size, exits 0 and writes its CSV header or report."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import netinfer
+from checks import child_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-SRC = Path(netinfer.__file__).resolve().parent.parent
 
 
 def _run_script(tmp_path, name: str, *argv: str) -> str:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
+                          cwd=tmp_path, env=child_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

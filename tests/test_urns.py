@@ -371,6 +371,18 @@ def test_limit_law_scaled_with_k1_equals_dirichlet():
     assert res.alpha == (2.0, 3.0) and res.beta == (3.0, 2.0)
 
 
+@pytest.mark.parametrize("state,law,same_as", [
+    (UrnState.classic(1, 2, 3), "dirichlet_scaled", "dirichlet"),
+    (UrnState.classic(3, 2), "beta", "dirichlet"),
+])
+def test_limit_laws_are_one_dirichlet_rule(state, law, same_as):
+    """beta is the two-color case and dirichlet the k = 1 case of the
+    Dirichlet(r/k) limit of a k*identity urn: at one stream the results
+    agree field for field."""
+    assert (limit_law_check(state, law, 600, 200, RngStream(19, 0))
+            == limit_law_check(state, same_as, 600, 200, RngStream(19, 0)))
+
+
 def test_limit_law_respects_step_size():
     res = limit_law_check(UrnState.k_per_step([1, 1], 3), "dirichlet_scaled",
                           10, 150, RngStream(17, 0))
@@ -387,6 +399,8 @@ def test_limit_law_respects_step_size():
         (UrnState.classic(1, 1), "gamma", "unknown limit law"),
         (UrnState(np.array([0, 5]), np.eye(2, dtype=int)), "beta",
          "each color"),
+        (UrnState.k_per_step([1, 1], 2), "dirichlet", "identity replacement"),
+        (UrnState.k_per_step([1, 1, 1], 2), "beta", "exactly two colors"),
     ],
 )
 def test_limit_law_validation(state, law, msg):
