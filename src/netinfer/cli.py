@@ -236,9 +236,7 @@ def _model_arms(args, pair: str, stat: str) -> tuple:
 
 
 def _power_fields(null_vals, alt_vals) -> dict:
-    fields = dict(vars(power_from_samples(null_vals, alt_vals)))
-    del fields["replicas"]  # the record's envelope holds it
-    return fields
+    return dict(vars(power_from_samples(null_vals, alt_vals)))
 
 
 def _target(args, d, stream: RngStream) -> tuple:
@@ -578,19 +576,19 @@ def _parse_seed_tree(value) -> Tree | None:
 
 
 def _run_tree_grow(args) -> tuple:
-    rt = trees.grow(args.model, args.n, RngStream(args.seed),
-                    seed=_parse_seed_tree(args.seed_tree))
-    _write(args.out, serialize_edge_list(rt.tree))
+    model = args.model
+    seed = _parse_seed_tree(args.seed_tree) or trees.default_seed(model)
+    t = trees.grow(model, args.n, RngStream(args.seed), seed=seed)
+    _write(args.out, serialize_edge_list(t))
     if args.sidecar is not None:
-        _write(args.sidecar, _json({"model": rt.model, "seed_size": rt.seed_size,
-                                    "arrival_permutation": np.arange(1, rt.n + 1)}))
-    md = trees.max_degree(rt)
-    result = {"model": rt.model, "n": args.n, "seed_size": rt.seed_size,
-              "edges": rt.tree.m,
+        _write(args.sidecar, _json({"model": model, "seed_size": seed.n,
+                                    "arrival_permutation": np.arange(1, t.n + 1)}))
+    md = trees.max_degree(t)
+    result = {"model": model, "n": args.n, "seed_size": seed.n, "edges": t.m,
               "max_degree": {"vertex": md.vertex + 1, "degree": md.degree},
-              "centroid": sorted(v + 1 for v in trees.centroid(rt.tree)),
+              "centroid": sorted(v + 1 for v in trees.centroid(t)),
               "out": args.out, "sidecar": args.sidecar}
-    return {"model": rt.model, "n": args.n, "seed_tree": args.seed_tree}, result
+    return {"model": model, "n": args.n, "seed_tree": args.seed_tree}, result
 
 
 def _run_tree_root(args) -> tuple:
@@ -606,15 +604,17 @@ def _run_tree_root(args) -> tuple:
     report = trees.root_finding_success(args.model, args.n, K, args.replicas,
                                         RngStream(args.seed),
                                         scoring=args.scoring, seed=seed_tree)
-    result = {**report._asdict(), "epsilon": epsilon, "scoring": args.scoring}
+    result = {**report._asdict(), "model": args.model, "n": args.n, "K": K,
+              "replicas": args.replicas, "epsilon": epsilon,
+              "scoring": args.scoring}
     if args.k_set is None:  # the bound belongs to the K derived from epsilon
-        ua = report.model == "ua"
+        ua = args.model == "ua"
         result["coverage_bound"] = (1.0 - 4.0 * epsilon / (1.0 - epsilon)
                                     if ua else None)
         result["bound_note"] = (
             "asymptotic (liminf) coverage bound, checked at finite n" if ua
             else "set size uses an uncalibrated constant c in the upper bound")
-    params = {"model": report.model, "n": args.n, "epsilon": epsilon, "K": K,
+    params = {"model": args.model, "n": args.n, "epsilon": epsilon, "K": K,
               "scoring": args.scoring, "c": args.c, "seed_tree": args.seed_tree}
     return params, result
 

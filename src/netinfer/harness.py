@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,20 +31,12 @@ _BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
-class MeanVar:
-    mean: float
-    variance: float
-    standard_error: float
-
-
-@dataclass(frozen=True)
 class PowerReport:
     """Threshold-test summary for a null/alternative sample pair."""
 
     power: float
     size: float
     threshold: float
-    replicas: int
     power_se: float
     size_se: float
     mean_null: float
@@ -69,16 +61,6 @@ class Batched(NamedTuple):
 
     def __call__(self, stream: RngStream) -> float:
         return self.one(stream)
-
-
-def mean_var(values: Sequence[float] | np.ndarray) -> MeanVar:
-    """Sample mean, unbiased variance, and standard error of the mean."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need at least two samples")
-    m = float(x.mean())
-    v = float(x.var(ddof=1))
-    return MeanVar(m, v, float(np.sqrt(v / x.size)))
 
 
 def binomial_se(p: float, n: int) -> float:
@@ -145,7 +127,7 @@ def power_from_samples(null_vals: np.ndarray, alt_vals: np.ndarray) -> PowerRepo
         power = float((alt_vals <= thr).mean())
         size = float((null_vals <= thr).mean())
     return PowerReport(
-        power=power, size=size, threshold=float(thr), replicas=replicas,
+        power=power, size=size, threshold=float(thr),
         power_se=binomial_se(power, replicas), size_se=binomial_se(size, replicas),
         mean_null=m0, mean_alt=m1, sd_null=s0, sd_alt=s1,
     )

@@ -9,7 +9,6 @@ experiments for root-finding success and fixed-vertex degree growth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,52 +16,7 @@ import numpy as np
 from .graphcore import Graph, RngStream, Tree
 from .harness import binomial_se, replicate
 
-__all__ = [
-    "RecordedTree",
-    "MaxDegree",
-    "DegreeScaling",
-    "RootFindingReport",
-    "grow",
-    "branch_weights",
-    "centroid",
-    "root_confidence_set",
-    "required_k",
-    "max_degree",
-    "fixed_vertex_degree_scaling",
-    "root_leaf_probability",
-    "root_finding_success",
-    "star",
-    "path",
-]
-
 MODELS = ("ua", "pa")
-
-
-@dataclass(frozen=True, eq=False)
-class RecordedTree:
-    """A grown tree with its model and seed size.  Vertex ids are arrival
-    order, so vertex 0 arrived first and the seed holds 0..seed_size-1."""
-
-    tree: Tree
-    model: str
-    seed_size: int
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}")
-        if not 1 <= self.seed_size <= self.tree.n:
-            raise ValueError("seed_size must lie in [1, n]")
-        if self.model == "pa" and self.seed_size < 2:
-            raise ValueError("preferential attachment needs seed_size >= 2")
-
-    @property
-    def n(self) -> int:
-        return self.tree.n
-
-    @property
-    def root(self) -> int:
-        """Vertex holding the first chronological position."""
-        return 0
 
 
 class MaxDegree(NamedTuple):
@@ -72,40 +26,32 @@ class MaxDegree(NamedTuple):
 
 class DegreeScaling(NamedTuple):
     slope: float  # least-squares slope of log mean degree vs log n
-    n_values: tuple
-    mean_degree: tuple
-    runs: int
-    model: str
+    mean_degree: tuple  # one mean per requested size
 
 
 class RootFindingReport(NamedTuple):
-    model: str
-    n: int
-    K: int
     success_rate: float
-    replicas: int
     se: float  # binomial standard error of success_rate
 
 
-def grow(model: str, n: int, rng: RngStream, seed: Tree | None = None) -> RecordedTree:
+def grow(model: str, n: int, rng: RngStream, seed: Tree | None = None) -> Tree:
     """Grow an n-vertex attachment tree from the seed.
 
     "ua" attaches each new vertex to a uniformly random existing vertex;
     "pa" picks the endpoint with probability degree/(2 * edges).  Defaults:
     a single vertex for ua, a single edge for pa (pa from one vertex has
     no degrees to bias and is rejected).  Vertices are numbered in arrival
-    order, so seed vertices keep their ids.
+    order, so seed vertices keep their ids and vertex 0 is the root.
     """
     model = _norm_model(model)
     if seed is None:
-        seed = _default_seed(model)
+        seed = default_seed(model)
     if model == "pa" and seed.n < 2:
         raise ValueError("preferential attachment needs a seed with at least two vertices")
     if n < seed.n:
         raise ValueError("n must be at least the seed size")
     parent = np.concatenate([seed.parent, _grow_parents(model, n, seed, rng)])
-    return RecordedTree(tree=Tree._trusted_parents(parent), model=model,
-                        seed_size=seed.n)
+    return Tree._trusted_parents(parent)
 
 
 def branch_weights(t: Tree) -> np.ndarray:
@@ -162,10 +108,9 @@ def required_k(model: str, epsilon: float, c: float = 1.0) -> int:
     return math.ceil(c * log_inv ** 2 / epsilon ** 4)
 
 
-def max_degree(rt: RecordedTree | Graph) -> MaxDegree:
+def max_degree(g: Graph) -> MaxDegree:
     """Highest-degree vertex, ties to the smallest id."""
-    t = rt.tree if isinstance(rt, RecordedTree) else rt
-    degs = t.degrees()
+    degs = g.degrees()
     v = int(np.argmax(degs))
     return MaxDegree(vertex=v, degree=int(degs[v]))
 
@@ -184,7 +129,7 @@ def fixed_vertex_degree_scaling(n_values: Sequence[int], runs: int,
         raise ValueError("need at least two strictly increasing sizes")
     if runs < 1:
         raise ValueError("runs must be positive")
-    seed = _default_seed(model)
+    seed = default_seed(model)
     n0 = seed.n
     if n_values[0] < n0:
         raise ValueError("sizes must be at least the seed size")
@@ -198,9 +143,8 @@ def fixed_vertex_degree_scaling(n_values: Sequence[int], runs: int,
         return base + hits[steps]
     means = replicate(degrees, runs, rng).sum(axis=0) / runs
     slope = float(np.polyfit(np.log(n_values), np.log(means), 1)[0])
-    return DegreeScaling(slope=slope, n_values=tuple(n_values),
-                         mean_degree=tuple(float(x) for x in means),
-                         runs=runs, model=model)
+    return DegreeScaling(slope=slope,
+                         mean_degree=tuple(float(x) for x in means))
 
 
 def root_leaf_probability(model: str, n: int) -> float:
@@ -233,21 +177,20 @@ def root_finding_success(model: str, n: int, K: int, replicas: int,
     if K < 1:
         raise ValueError("K must be at least 1")
     model = _norm_model(model)
-    seed_size = _default_seed(model).n if seed is None else seed.n
+    seed_size = default_seed(model).n if seed is None else seed.n
     if scoring == "either_endpoint" and seed_size < 2:
         raise ValueError("either_endpoint scoring needs a seed edge")
     targets = np.arange(1 if scoring == "root" else 2)
 
     def hit(s: RngStream) -> float:
-        rt = grow(model, n, s, seed=seed)
+        t = grow(model, n, s, seed=seed)
         # vertex v carries label perm[v] in the relabeled tree, so ranking
         # by (branch weight, label) here picks that tree's confidence set
         perm = s.substream(replicas).generator().permutation(n)
-        picked = np.lexsort((perm, branch_weights(rt.tree)))[:K]
+        picked = np.lexsort((perm, branch_weights(t)))[:K]
         return float(np.isin(targets, picked).any())
     rate = float(replicate(hit, replicas, rng).mean())
-    return RootFindingReport(model=model, n=n, K=K, success_rate=rate,
-                             replicas=replicas, se=binomial_se(rate, replicas))
+    return RootFindingReport(success_rate=rate, se=binomial_se(rate, replicas))
 
 
 def star(n: int) -> Tree:
@@ -262,6 +205,11 @@ def path(n: int) -> Tree:
     if n < 1:
         raise ValueError("need n >= 1")
     return Tree([-1] + list(range(n - 1)))
+
+
+def default_seed(model: str) -> Tree:
+    """The seed grow() starts from: one vertex for ua, one edge for pa."""
+    return Tree([-1] if _norm_model(model) == "ua" else [-1, 0])
 
 
 def _grow_parents(model: str, n: int, seed: Tree, rng: RngStream) -> np.ndarray:
@@ -323,11 +271,6 @@ def _subtree_sizes(parent: np.ndarray) -> np.ndarray:
         level = order[ends[d - 1]:ends[d]]
         np.add.at(sub, parent[level], sub[level])
     return sub
-
-
-def _default_seed(model: str) -> Tree:
-    """The seed grow() starts from: one vertex for ua, one edge for pa."""
-    return Tree([-1] if model == "ua" else [-1, 0])
 
 
 def _norm_model(model: str) -> str:

@@ -17,19 +17,6 @@ from scipy.special import betainc, gammaln
 from .graphcore import RngStream
 from .harness import ks_distance, ks_distance_cdf
 
-__all__ = [
-    "UrnState",
-    "UrnTrajectory",
-    "LimitLawResult",
-    "TriangularScaling",
-    "TRIANGULAR_REPLACEMENT",
-    "urn_run",
-    "urn_run_batch",
-    "beta_binomial_pmf",
-    "limit_law_check",
-    "triangular_urn_scaling",
-]
-
 # drawing color 0 adds two color-0 balls; drawing color 1 adds one of each
 TRIANGULAR_REPLACEMENT = np.array([[2, 0], [1, 1]], dtype=np.int64)
 TRIANGULAR_REPLACEMENT.setflags(write=False)
@@ -54,7 +41,10 @@ class UrnState:
     replacement: np.ndarray
 
     def __post_init__(self):
-        counts = _int_vector(self.counts, "counts")
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1:
+            raise ValueError("counts must be one-dimensional")
+        counts = _int64(counts, "counts")
         if counts.size == 0:
             raise ValueError("counts must be a nonempty vector")
         if np.any(counts < 0):
@@ -65,7 +55,7 @@ class UrnState:
         repl = np.asarray(self.replacement)
         if repl.shape != (m, m):
             raise ValueError(f"replacement must be {m}x{m} to match counts")
-        repl = _int_matrix(repl, "replacement")
+        repl = _int64(repl, "replacement")
         if np.any(repl < 0):
             raise ValueError("replacement entries must be nonnegative")
         if np.any(repl.sum(axis=1) == 0):
@@ -101,29 +91,12 @@ class UrnState:
         return int(self.counts.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class UrnTrajectory:
-    """Counts of a single run recorded at requested checkpoints."""
+class UrnTrajectory(NamedTuple):
+    """Counts of a single run recorded at requested checkpoints, as
+    read-only int64 arrays."""
 
     totals: np.ndarray  # (s,) total balls at each checkpoint
     counts: np.ndarray  # (s, m) per-color counts
-
-    def __post_init__(self):
-        totals = _int_vector(self.totals, "totals")
-        counts = _int_matrix(np.asarray(self.counts), "counts")
-        if counts.ndim != 2 or counts.shape[0] != totals.size:
-            raise ValueError("counts must have one row per checkpoint")
-        if np.any(np.diff(totals) <= 0):
-            raise ValueError("checkpoint totals must be strictly increasing")
-        if np.any(counts.sum(axis=1) != totals):
-            raise ValueError("counts rows must sum to the recorded totals")
-        totals.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "totals", totals)
-        object.__setattr__(self, "counts", counts)
-
-    def snapshots(self) -> list[tuple[int, np.ndarray]]:
-        return [(int(t), row) for t, row in zip(self.totals, self.counts)]
 
 
 class LimitLawResult(NamedTuple):
@@ -132,7 +105,6 @@ class LimitLawResult(NamedTuple):
     alpha: tuple  # Beta parameters per marginal
     beta: tuple
     n_final: int  # terminal total actually reached
-    runs: int
 
 
 class TriangularScaling(NamedTuple):
@@ -182,8 +154,11 @@ def urn_run(initial: UrnState, steps: int, checkpoints: Iterable[int],
         if s in mark_set:
             rec_t.append(total)
             rec_c.append(counts.copy())
-    return UrnTrajectory(np.asarray(rec_t, dtype=np.int64),
+    traj = UrnTrajectory(np.asarray(rec_t, dtype=np.int64),
                          np.asarray(rec_c, dtype=np.int64))
+    for arr in traj:
+        arr.setflags(write=False)
+    return traj
 
 
 def urn_run_batch(initial: UrnState, steps: int, runs: int, rng: RngStream,
@@ -286,7 +261,7 @@ def limit_law_check(initial: UrnState, law: str, n_final: int, runs: int,
                         lambda x, a=alpha[i], b=bet[i]: betainc(a, b, x))
         for i in range(initial.colors))
     return LimitLawResult(ks=max(per_marginal), marginal_ks=per_marginal,
-                          alpha=alpha, beta=bet, n_final=reached, runs=runs)
+                          alpha=alpha, beta=bet, n_final=reached)
 
 
 def triangular_urn_scaling(initial: UrnState, n_values: Sequence[int],
@@ -355,17 +330,7 @@ def _checkpoint_indices(checkpoints: Iterable[int], steps: int) -> np.ndarray:
     return marks
 
 
-def _int_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    out = arr.astype(np.int64)
-    if not np.array_equal(out, arr):
-        raise ValueError(f"{name} must be integers")
-    return out
-
-
-def _int_matrix(arr: np.ndarray, name: str) -> np.ndarray:
+def _int64(arr: np.ndarray, name: str) -> np.ndarray:
     out = arr.astype(np.int64)
     if not np.array_equal(out, arr):
         raise ValueError(f"{name} must be integers")

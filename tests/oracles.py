@@ -169,7 +169,7 @@ def loop_degree_scaling(n_values, runs: int, rng, model: str) -> tuple[float, tu
     steps = np.asarray(n_values, dtype=np.int64) - n0
     sums = np.zeros(len(n_values), dtype=np.float64)
     for run in range(runs):
-        parents = grow(model, n_values[-1], rng.substream(run)).tree.parent[n0:]
+        parents = grow(model, n_values[-1], rng.substream(run)).parent[n0:]
         hits = np.concatenate([[0], np.cumsum(parents == 0)])
         sums += base + hits[steps]
     means = sums / runs
@@ -324,10 +324,9 @@ def loop_tr3(w: np.ndarray) -> float:
     return float(((w @ w) * w.T).sum())
 
 
-def relabel_uniform(rt, rng) -> tuple[Tree, int]:
+def relabel_uniform(t: Tree, rng) -> tuple[Tree, int]:
     """Uniformly random relabeling of a grown tree; returns it with the new
     id of the chronologically first vertex (kept aside for scoring only)."""
-    t = rt.tree
     perm = rng.generator().permutation(t.n)
     relabeled = t if t.n == 1 else Tree.from_edges(t.n, perm[t.edges()])
     return relabeled, int(perm[0])

@@ -360,7 +360,7 @@ def test_pa_root_leaf_probability():
         worst_formula = max(worst_formula,
                             abs(exact - trees.root_leaf_probability("pa", n)))
         rng = RngStream(20260520 + n)
-        hits = sum(trees.grow("pa", n, rng.substream(i)).tree.degree(0) <= 1
+        hits = sum(trees.grow("pa", n, rng.substream(i)).degree(0) <= 1
                    for i in range(R))
         se = math.sqrt(exact * (1 - exact) / R)
         worst_sigma = max(worst_sigma, abs(hits / R - exact) / se)

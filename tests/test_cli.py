@@ -507,6 +507,15 @@ def test_tree_grow_sidecar(capsys, tmp_path):
     assert all(v >= 1 for v in res["centroid"])
 
 
+def test_tree_grow_pa_default_seed_is_an_edge(capsys, tmp_path):
+    sidecar = tmp_path / "t.json"
+    rec = run_record(capsys, "tree", "grow", "--model", "pa", "--n", "30",
+                     "--seed", "31", "--out", str(tmp_path / "t.txt"),
+                     "--sidecar", str(sidecar))
+    assert rec["result"]["seed_size"] == 2
+    assert json.loads(sidecar.read_text())["seed_size"] == 2
+
+
 def test_tree_grow_seed_tree(capsys, tmp_path):
     rec = run_record(capsys, "tree", "grow", "--model", "pa", "--n", "40",
                      "--seed", "32", "--seed-tree", "star:5",

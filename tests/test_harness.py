@@ -10,7 +10,6 @@ from netinfer.graphcore import RngStream
 from netinfer.harness import (
     ks_distance,
     ks_distance_cdf,
-    mean_var,
     power_from_samples,
     replicate,
     tv_lower_bound,
@@ -110,26 +109,6 @@ def test_tv_lower_bound_never_exceeds_exact_bernoulli_tv():
     b = (rng.random(4000) < 0.3).astype(float)
     se = np.sqrt(2 * 0.7 * 0.3 / 4000)
     assert tv_lower_bound(a, b) <= exact_tv + 3 * se
-
-
-# ------------------------------------------------------------- mean_var
-
-
-def test_mean_var_hand_values():
-    mv = mean_var(np.array([0.0, 1.0]))
-    assert mv.mean == 0.5
-    assert mv.variance == 0.5  # ddof=1
-    assert abs(mv.standard_error - 0.5) <= 1e-15
-
-
-def test_mean_var_constant_sample():
-    mv = mean_var(np.full(10, 3.25))
-    assert mv.mean == 3.25 and mv.variance == 0.0 and mv.standard_error == 0.0
-
-
-def test_mean_var_needs_two_samples():
-    with pytest.raises(ValueError, match="need at least two samples"):
-        mean_var(np.array([1.0]))
 
 
 def test_sample_set_validation():
@@ -237,7 +216,6 @@ def test_power_test_identical_generators_power_matches_size():
     rep = power_from_samples(*two_arm(gen, gen, 400, RngStream(9, 0)))
     se = np.sqrt(0.25 / 400)
     assert abs(rep.power - rep.size) <= 3 * np.sqrt(2) * se
-    assert rep.replicas == 400
 
 
 def test_power_test_separated_means():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 import oracles
-from checks import assert_mean_close, assert_prop_close, assert_rel_close
+from checks import assert_prop_close, assert_rel_close
 from netinfer.graphcore import Graph, RngStream
 from netinfer.harness import ks_distance
 from netinfer.sbm import (
@@ -194,6 +194,26 @@ def test_ch_divergence_mirrored_pair_stops_at_one_half():
         res = ch_divergence(c1, c1[::-1])
         assert res.t_star == 0.5
         assert res.d_plus == ch_divergence(c1[::-1], c1).d_plus
+
+
+def test_ch_divergence_profiles_equal_to_working_precision_take_one_half():
+    # D_t is at rounding level here, so the sign of the slope is noise;
+    # t* = 1/2 is the limit of t* as the profiles converge
+    for c1, c2 in [([1.0, 2.0], [1.0, 2.0 + 1e-12]), ([3.0], [3.0 + 1e-13]),
+                   ([1e-3, 5.0], [1e-3 + 1e-17, 5.0])]:
+        for pair in ((c1, c2), (c2, c1)):
+            res = ch_divergence(*pair)
+            assert res.t_star == 0.5
+            assert res.d_plus == max(d_t(*pair, 0.5), 0.0)
+            assert res.d_plus <= 1e-15
+
+
+def test_ch_divergence_t_star_tends_to_one_half():
+    # one coordinate, b = a e^-r: t* = 1/2 + r/24 + O(r^2)
+    for r in (1e-2, 1e-3, 1e-4):
+        res = ch_divergence([3.0], [3.0 * math.exp(-r)])
+        assert abs(res.t_star - 0.5) <= r
+        assert res.d_plus > 0.0
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])

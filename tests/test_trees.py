@@ -22,6 +22,7 @@ from netinfer.harness import ks_distance_cdf
 from netinfer.trees import (
     branch_weights,
     centroid,
+    default_seed,
     fixed_vertex_degree_scaling,
     grow,
     max_degree,
@@ -34,12 +35,12 @@ from netinfer.trees import (
 )
 
 
-def _sides(rt):
+def _sides(t):
     """Seed-edge side (0 or 1) of every vertex, inherited from the parent."""
-    parent = rt.tree.parent
-    s = np.empty(rt.n, dtype=np.int8)
+    parent = t.parent
+    s = np.empty(t.n, dtype=np.int8)
     s[0], s[1] = 0, 1
-    for i in range(2, rt.n):
+    for i in range(2, t.n):
         s[i] = s[parent[i]]
     return s
 
@@ -54,39 +55,45 @@ def _parent_arrays(draw):
 
 
 def test_grow_records_arrival_and_model():
-    rt = grow("UA", 9, RngStream(1))
-    assert rt.model == "ua"
-    assert rt.seed_size == 1
-    assert rt.n == 9
-    assert rt.root == 0
-    rt = grow("pa", 9, RngStream(1))
-    assert rt.seed_size == 2
-    assert rt.tree.degree(0) + rt.tree.degree(1) >= 2
+    t = grow("UA", 9, RngStream(1))
+    assert t.n == 9
+    assert t.parent[0] == -1  # vertex 0 arrived first and is the root
+    np.testing.assert_array_equal(
+        t.parent, grow("ua", 9, RngStream(1), seed=default_seed("ua")).parent)
+    t = grow("pa", 9, RngStream(1))
+    assert t.degree(0) + t.degree(1) >= 2
+
+
+def test_default_seed():
+    np.testing.assert_array_equal(default_seed("UA").parent, [-1])
+    np.testing.assert_array_equal(default_seed("ua").parent, [-1])
+    np.testing.assert_array_equal(default_seed("PA").parent, [-1, 0])
+    with pytest.raises(ValueError, match="model must be one of"):
+        default_seed("random")
 
 
 def test_grow_ua_two_vertices():
-    rt = grow("ua", 2, RngStream(3))
-    np.testing.assert_array_equal(rt.tree.parent, [-1, 0])
-    np.testing.assert_array_equal(rt.tree.edges(), [[0, 1]])
+    t = grow("ua", 2, RngStream(3))
+    np.testing.assert_array_equal(t.parent, [-1, 0])
+    np.testing.assert_array_equal(t.edges(), [[0, 1]])
 
 
 @pytest.mark.parametrize("model", ["ua", "pa"])
 @pytest.mark.parametrize("n", [2, 3, 17, 60])
 def test_grow_parents_precede_children(model, n):
-    rt = grow(model, n, RngStream(11 + n))
-    parent = rt.tree.parent
+    parent = grow(model, n, RngStream(11 + n)).parent
     assert parent is not None
-    assert all(parent[i] < i for i in range(rt.seed_size, n))
+    assert all(parent[i] < i for i in range(default_seed(model).n, n))
 
 
 def test_grow_custom_seed_preserved():
     seed = path(5)
-    rt = grow("pa", 5, RngStream(7), seed=seed)
-    np.testing.assert_array_equal(np.sort(rt.tree.edges(), axis=1),
+    t = grow("pa", 5, RngStream(7), seed=seed)
+    np.testing.assert_array_equal(np.sort(t.edges(), axis=1),
                                   np.sort(seed.edges(), axis=1))
-    assert rt.seed_size == 5
-    rt = grow("pa", 40, RngStream(7), seed=star(6))
-    assert rt.tree.degree(0) >= 5
+    assert t.n == 5
+    t = grow("pa", 40, RngStream(7), seed=star(6))
+    assert t.degree(0) >= 5
 
 
 def test_grow_validation():
@@ -100,8 +107,8 @@ def test_grow_validation():
 
 def test_grow_deterministic():
     for model in ("ua", "pa"):
-        a = grow(model, 300, RngStream(99)).tree.parent
-        b = grow(model, 300, RngStream(99)).tree.parent
+        a = grow(model, 300, RngStream(99)).parent
+        b = grow(model, 300, RngStream(99)).parent
         np.testing.assert_array_equal(a, b)
 
 
@@ -110,7 +117,7 @@ def test_grow_pa_first_attachment_balanced():
     # either side with probability 1/2
     runs = 400
     rng = RngStream(205)
-    hits = sum(grow("pa", 3, rng.substream(r)).tree.parent[2] == 0
+    hits = sum(grow("pa", 3, rng.substream(r)).parent[2] == 0
                for r in range(runs))
     assert_prop_close(hits / runs, 0.5, runs)
 
@@ -120,7 +127,7 @@ def test_grow_pa_degree_bias():
     # the time even though it is 1 of 4 vertices
     runs = 600
     rng = RngStream(206)
-    hits = sum(grow("pa", 5, rng.substream(r), seed=star(4)).tree.parent[4] == 0
+    hits = sum(grow("pa", 5, rng.substream(r), seed=star(4)).parent[4] == 0
                for r in range(runs))
     assert_prop_close(hits / runs, 0.5, runs)
 
@@ -148,7 +155,7 @@ def test_branch_weights_match_psi_examples():
 
 @pytest.mark.parametrize("model,n", [("ua", 2), ("ua", 23), ("pa", 40), ("pa", 3)])
 def test_branch_weights_match_psi_grown(model, n):
-    t = grow(model, n, RngStream(31 + n)).tree
+    t = grow(model, n, RngStream(31 + n))
     np.testing.assert_array_equal(branch_weights(t),
                                   [psi(t, v) for v in range(n)])
 
@@ -173,7 +180,7 @@ def test_centroid_weight_bound():
     # the centroid never leaves a component larger than n/2 behind
     for r in range(20):
         model = "ua" if r % 2 else "pa"
-        t = grow(model, 50 + r, RngStream(500 + r)).tree
+        t = grow(model, 50 + r, RngStream(500 + r))
         assert branch_weights(t).min() <= t.n // 2
 
 
@@ -191,7 +198,7 @@ def test_confidence_set_examples():
 
 def test_confidence_set_heads_are_centroid():
     for r in range(20):
-        t = grow("ua" if r % 2 else "pa", 40 + r, RngStream(700 + r)).tree
+        t = grow("ua" if r % 2 else "pa", 40 + r, RngStream(700 + r))
         c = centroid(t)
         conf = root_confidence_set(t, len(c))
         assert set(conf.tolist()) == c
@@ -199,7 +206,7 @@ def test_confidence_set_heads_are_centroid():
 
 def test_confidence_set_ordering():
     for r in range(10):
-        t = grow("pa", 60, RngStream(800 + r)).tree
+        t = grow("pa", 60, RngStream(800 + r))
         bw = branch_weights(t)
         conf = root_confidence_set(t, 15)
         picked = bw[conf]
@@ -241,8 +248,8 @@ def test_max_degree():
     assert (md.vertex, md.degree) == (0, 5)
     md = max_degree(path(4))  # vertices 1 and 2 tie at degree 2
     assert (md.vertex, md.degree) == (1, 2)
-    rt = grow("pa", 30, RngStream(9))
-    assert max_degree(rt).degree == rt.tree.degrees().max()
+    t = grow("pa", 30, RngStream(9))
+    assert max_degree(t).degree == t.degrees().max()
 
 
 # ----------------------------------------------------------- root-leaf law
@@ -280,10 +287,10 @@ def test_root_leaf_probability_matches_chain():
 def test_root_leaf_probability_empirical():
     runs = 3000
     rng = RngStream(4028)
-    hits = sum(grow("ua", 10, rng.substream(r)).tree.degree(0) <= 1
+    hits = sum(grow("ua", 10, rng.substream(r)).degree(0) <= 1
                for r in range(runs))
     assert_prop_close(hits / runs, root_leaf_probability("ua", 10), runs)
-    hits = sum(grow("pa", 8, rng.substream(10000 + r)).tree.degree(0) <= 1
+    hits = sum(grow("pa", 8, rng.substream(10000 + r)).degree(0) <= 1
                for r in range(runs))
     assert_prop_close(hits / runs, root_leaf_probability("pa", 8), runs)
 
@@ -293,20 +300,20 @@ def test_root_leaf_probability_empirical():
 
 def test_relabel_preserves_structure():
     for r in range(10):
-        rt = grow("pa", 25, RngStream(900 + r))
-        relabeled, root = relabel_uniform(rt, RngStream(1900 + r))
-        assert sorted(relabeled.degrees()) == sorted(rt.tree.degrees())
-        assert ahu_signature(relabeled) == ahu_signature(rt.tree)
-        assert relabeled.degree(root) == rt.tree.degree(0)
+        t = grow("pa", 25, RngStream(900 + r))
+        relabeled, root = relabel_uniform(t, RngStream(1900 + r))
+        assert sorted(relabeled.degrees()) == sorted(t.degrees())
+        assert ahu_signature(relabeled) == ahu_signature(t)
+        assert relabeled.degree(root) == t.degree(0)
 
 
 def test_relabel_root_position_uniform():
-    rt = grow("ua", 3, RngStream(0), seed=path(3))
+    t = grow("ua", 3, RngStream(0), seed=path(3))
     runs = 900
     rng = RngStream(901)
     counts = np.zeros(3)
     for r in range(runs):
-        _, root = relabel_uniform(rt, rng.substream(r))
+        _, root = relabel_uniform(t, rng.substream(r))
         counts[root] += 1
     for c in counts:
         assert_prop_close(c / runs, 1 / 3, runs)
@@ -330,8 +337,8 @@ def test_ua_seed_edge_split_uniform():
     rng = RngStream(4021)
     s0 = np.empty(runs)
     for r in range(runs):
-        rt = grow("ua", n, rng.substream(r), seed=Tree([-1, 0]))
-        s0[r] = (_sides(rt) == 0).sum()
+        t = grow("ua", n, rng.substream(r), seed=Tree([-1, 0]))
+        s0[r] = (_sides(t) == 0).sum()
     ks = ks_distance_cdf(s0, lambda x: np.clip(np.floor(x) / (n - 1), 0.0, 1.0))
     assert ks < 0.07
 
@@ -345,8 +352,8 @@ def test_pa_side_degrees_follow_polya_law():
     rng = RngStream(4030)
     b = np.empty(runs, dtype=np.int64)
     for r in range(runs):
-        rt = grow("pa", n, rng.substream(r))
-        d0 = rt.tree.degrees()[_sides(rt) == 0].sum()
+        t = grow("pa", n, rng.substream(r))
+        d0 = t.degrees()[_sides(t) == 0].sum()
         assert d0 % 2 == 1
         b[r] = (d0 - 1) // 2
     pmf = stats.betabinom(m, 0.5, 0.5).pmf(np.arange(m + 1))
@@ -385,9 +392,7 @@ def test_pa_star_seed_keeps_hub():
 def test_degree_scaling_pa():
     report = fixed_vertex_degree_scaling([300, 900, 2700], 100, RngStream(4026))
     assert 0.4 < report.slope < 0.6
-    assert report.model == "pa"
-    assert report.n_values == (300, 900, 2700)
-    assert report.runs == 100
+    assert len(report.mean_degree) == 3
     assert all(a < b for a, b in zip(report.mean_degree, report.mean_degree[1:]))
 
 
@@ -439,7 +444,6 @@ def test_root_finding_deterministic():
 def test_root_finding_rate_and_fields():
     report = root_finding_success("ua", 300, 58, 200, RngStream(4024))
     assert report.success_rate >= 0.9
-    assert report.replicas == 200
     r = report.success_rate
     assert report.se == pytest.approx(math.sqrt(r * (1 - r) / 200))
 
@@ -490,14 +494,14 @@ def test_pa_pointer_jumping_matches_slot_loop(seed_name, n):
     for r in range(5):
         rng = RngStream(3100 + n, r)
         expect = oracles.loop_grow_parents("pa", n, edges, n0, rng)
-        got = grow("pa", n, rng, seed=seed).tree.parent[n0:]
+        got = grow("pa", n, rng, seed=seed).parent[n0:]
         np.testing.assert_array_equal(got, expect)
 
 
-def _relabeled_file_tree(tmp_path, rt, r):
+def _relabeled_file_tree(tmp_path, t, r):
     """A grown tree under a random relabeling, written to and read back
     from an edge-list file, so parent[v] < v no longer holds."""
-    relabeled, _ = relabel_uniform(rt, RngStream(3300, r))
+    relabeled, _ = relabel_uniform(t, RngStream(3300, r))
     path_ = tmp_path / f"tree{r}.txt"
     path_.write_text(serialize_edge_list(relabeled))
     g = parse_edge_list(path_.read_text())
@@ -509,8 +513,8 @@ def test_branch_weights_and_max_degree_match_dense_oracle(model, tmp_path):
     for r, n in enumerate((1, 2, 3, 17, 250)):
         if model == "pa" and n < 2:
             continue
-        rt = grow(model, n, RngStream(3200, r))
-        for t in (rt.tree, _relabeled_file_tree(tmp_path, rt, r)):
+        grown = grow(model, n, RngStream(3200, r))
+        for t in (grown, _relabeled_file_tree(tmp_path, grown, r)):
             adj = oracles.dense_adj(t.n, t.edges())
             np.testing.assert_array_equal(branch_weights(t),
                                           oracles.dense_branch_weights(adj))
