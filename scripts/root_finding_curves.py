@@ -3,7 +3,9 @@
 
 Grows attachment trees, hides the root by uniform relabeling, and scores
 how often the K smallest-branch-weight vertices contain it, for a range
-of K.  Writes one CSV row per (model, K).
+of K.  One set of replicas per model answers every K: the root is caught
+exactly when fewer than K vertices rank ahead of it.  Writes one CSV row
+per (model, K).
 """
 
 import argparse
@@ -11,7 +13,8 @@ import csv
 import sys
 
 from netinfer.graphcore import RngStream
-from netinfer.trees import root_finding_success
+from netinfer.harness import binomial_se
+from netinfer.trees import MODELS, root_ranks
 
 
 def main() -> int:
@@ -23,22 +26,32 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", default="root_finding_curves.csv")
     args = ap.parse_args()
-
     models = args.models.split(",")
-    k_values = [int(x) for x in args.k_values.split(",")]
+    for model in models:
+        if model.lower() not in MODELS:
+            ap.error(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
+    try:
+        k_values = [int(x) for x in args.k_values.split(",")]
+    except ValueError:
+        ap.error(f"--k-values must be integers: {args.k_values!r}")
+    if min(k_values) < 1:
+        ap.error("every K must be at least 1")
+    if args.replicas < 1:
+        ap.error("--replicas must be at least 1")
+    if args.n < 2:
+        ap.error("--n must be at least 2")
+
     rng = RngStream(args.seed)
     rows = []
-    arm = 0
-    for model in models:
+    for i, model in enumerate(models):
+        ranks = root_ranks(model, args.n, args.replicas,
+                           rng.substream(2 * args.replicas * i))
         for K in k_values:
-            report = root_finding_success(
-                model, args.n, K, args.replicas,
-                rng.substream(2 * args.replicas * arm))
-            arm += 1
+            rate = float((ranks < K).mean())
+            se = binomial_se(rate, args.replicas)
             rows.append({"model": model, "n": args.n, "K": K,
-                         "success_rate": report.success_rate, "se": report.se})
-            print(f"{model}  K={K:>4}  success={report.success_rate:.3f} "
-                  f"(+/- {3 * report.se:.3f})")
+                         "success_rate": rate, "se": se})
+            print(f"{model}  K={K:>4}  success={rate:.3f} (+/- {3 * se:.3f})")
 
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

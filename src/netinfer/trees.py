@@ -84,7 +84,7 @@ def root_confidence_set(t: Tree, K: int) -> np.ndarray:
     as a read-only int64 array in that order (all n vertices if K > n)."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    picked = np.lexsort((np.arange(t.n), branch_weights(t)))[:K]
+    picked = np.argsort(branch_weights(t), kind="stable")[:K]
     picked.setflags(write=False)
     return picked
 
@@ -159,37 +159,46 @@ def root_leaf_probability(model: str, n: int) -> float:
     return float(np.prod(1.0 - 0.5 / np.arange(1, n - 1)))
 
 
-def root_finding_success(model: str, n: int, K: int, replicas: int,
-                         rng: RngStream, scoring: str = "root",
-                         seed: Tree | None = None) -> RootFindingReport:
-    """Fraction of replicas whose branch-weight confidence set catches the
-    hidden root of a freshly grown, uniformly relabeled tree.
+def root_ranks(model: str, n: int, replicas: int, rng: RngStream,
+               scoring: str = "root", seed: Tree | None = None) -> np.ndarray:
+    """How many vertices rank ahead of the hidden root, one int64 count per
+    replica of a freshly grown, uniformly relabeled tree.
 
+    Vertices rank by (branch weight, label), so the relabeled tree's size-K
+    confidence set catches the target exactly when its rank is below K.
     scoring "root" targets the chronologically first vertex;
-    "either_endpoint" accepts either endpoint of the seed edge (needs
-    seed_size >= 2).  Growth uses substream i, relabeling substream
+    "either_endpoint" takes the smaller rank of the two seed-edge endpoints
+    (needs seed_size >= 2).  Growth uses substream i, relabeling substream
     replicas + i.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
     if scoring not in ("root", "either_endpoint"):
         raise ValueError(f"unknown scoring mode: {scoring!r}")
-    if K < 1:
-        raise ValueError("K must be at least 1")
     model = _norm_model(model)
     seed_size = default_seed(model).n if seed is None else seed.n
     if scoring == "either_endpoint" and seed_size < 2:
         raise ValueError("either_endpoint scoring needs a seed edge")
-    targets = np.arange(1 if scoring == "root" else 2)
+    targets = (0,) if scoring == "root" else (0, 1)
 
-    def hit(s: RngStream) -> float:
-        t = grow(model, n, s, seed=seed)
-        # vertex v carries label perm[v] in the relabeled tree, so ranking
-        # by (branch weight, label) here picks that tree's confidence set
-        perm = s.substream(replicas).generator().permutation(n)
-        picked = np.lexsort((perm, branch_weights(t)))[:K]
-        return float(np.isin(targets, picked).any())
-    rate = float(replicate(hit, replicas, rng).mean())
+    def rank(s: RngStream) -> int:
+        bw = branch_weights(grow(model, n, s, seed=seed))
+        # vertex v carries label[v] in the relabeled tree
+        label = s.substream(replicas).generator().permutation(n)
+        return min(np.count_nonzero((bw < bw[v])
+                                    | ((bw == bw[v]) & (label < label[v])))
+                   for v in targets)
+    return replicate(rank, replicas, rng).astype(np.int64)
+
+
+def root_finding_success(model: str, n: int, K: int, replicas: int,
+                         rng: RngStream, scoring: str = "root",
+                         seed: Tree | None = None) -> RootFindingReport:
+    """Fraction of replicas whose size-K branch-weight confidence set
+    catches the hidden root: the share of root_ranks below K."""
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    rate = float((root_ranks(model, n, replicas, rng, scoring, seed) < K).mean())
     return RootFindingReport(success_rate=rate, se=binomial_se(rate, replicas))
 
 

@@ -112,6 +112,25 @@ def dense_root_finding_rate(model: str, n: int, K: int, replicas: int, rng,
     return hits / replicas
 
 
+def dense_root_ranks(model: str, n: int, replicas: int, rng,
+                     seed_edges: np.ndarray, n0: int,
+                     scoring: str = "root") -> np.ndarray:
+    """Grow, relabel into a new dense matrix, and find each target's label
+    in the lexsort order of its branch weights; the smaller position of
+    the two seed-edge endpoints for either_endpoint."""
+    ranks = np.empty(replicas, dtype=np.int64)
+    for i in range(replicas):
+        parents = loop_grow_parents(model, n, seed_edges, n0, rng.substream(i))
+        edges = [tuple(e) for e in seed_edges]
+        edges += [(int(p), n0 + j) for j, p in enumerate(parents)]
+        perm = rng.substream(replicas + i).generator().permutation(n)
+        adj = dense_adj(n, [(perm[u], perm[v]) for u, v in edges])
+        order = np.lexsort((np.arange(n), dense_branch_weights(adj))).tolist()
+        targets = (0,) if scoring == "root" else (0, 1)
+        ranks[i] = min(order.index(int(perm[v])) for v in targets)
+    return ranks
+
+
 def dense_sample_sbm(n: int, params, rng) -> tuple[np.ndarray, np.ndarray]:
     """(adjacency, labels): one uniform per vertex pair against its
     block's edge probability."""

@@ -561,6 +561,47 @@ def test_tree_root_explicit_k(capsys):
     assert "coverage_bound" not in res
 
 
+# Exact stdout of three `tree root` commands (the README one, either
+# seed-edge endpoint, a star seed).  The records come from integer and
+# Philox arithmetic only, so they are the same on any host.
+_TREE_ROOT_RECORDS = [
+    (("--model", "ua", "--n", "1000", "--epsilon", "0.1", "--replicas",
+      "1000", "--seed", "7"),
+     '{"command": "tree root", "parameters": {"K": 58, "c": 1.0, '
+     '"epsilon": 0.1, "model": "ua", "n": 1000, "scoring": "root", '
+     '"seed_tree": null}, "replicas": 1000, "result": {"K": 58, '
+     '"bound_note": "asymptotic (liminf) coverage bound, checked at finite '
+     'n", "coverage_bound": 0.5555555555555556, "epsilon": 0.1, "model": '
+     '"ua", "n": 1000, "replicas": 1000, "scoring": "root", "se": '
+     '0.003443254274665176, "success_rate": 0.988}, "seed": 7, "version": '
+     '"netinfer-0.1.0"}'),
+    (("--model", "pa", "--n", "400", "--k-set", "2", "--replicas", "300",
+      "--scoring", "either_endpoint", "--seed", "5"),
+     '{"command": "tree root", "parameters": {"K": 2, "c": 1.0, '
+     '"epsilon": null, "model": "pa", "n": 400, "scoring": '
+     '"either_endpoint", "seed_tree": null}, "replicas": 300, "result": '
+     '{"K": 2, "epsilon": null, "model": "pa", "n": 400, "replicas": 300, '
+     '"scoring": "either_endpoint", "se": 0.019202623277582175, '
+     '"success_rate": 0.8733333333333333}, "seed": 5, "version": '
+     '"netinfer-0.1.0"}'),
+    (("--model", "pa", "--n", "400", "--k-set", "1", "--replicas", "300",
+      "--seed-tree", "star:4", "--seed", "9"),
+     '{"command": "tree root", "parameters": {"K": 1, "c": 1.0, '
+     '"epsilon": null, "model": "pa", "n": 400, "scoring": "root", '
+     '"seed_tree": "star:4"}, "replicas": 300, "result": {"K": 1, '
+     '"epsilon": null, "model": "pa", "n": 400, "replicas": 300, '
+     '"scoring": "root", "se": 0.02610803764417444, "success_rate": '
+     '0.7133333333333334}, "seed": 9, "version": "netinfer-0.1.0"}'),
+]
+
+
+@pytest.mark.parametrize("argv,record", _TREE_ROOT_RECORDS)
+def test_tree_root_records_are_exact(capsys, argv, record):
+    code, out, err = run(capsys, "tree", "root", *argv)
+    assert code == 0, err
+    assert out == record + "\n"
+
+
 def test_tree_root_needs_epsilon_or_k(capsys):
     code, _, err = run(capsys, "tree", "root", "--model", "ua", "--n", "50",
                        "--replicas", "20", "--seed", "36")

@@ -216,6 +216,15 @@ def test_ch_divergence_t_star_tends_to_one_half():
         assert res.d_plus > 0.0
 
 
+@pytest.mark.parametrize("r", [1e-4, 1e-5, 1e-6])
+def test_ch_divergence_t_star_near_equal_profiles(r):
+    # swapping the profiles maps t* to 1 - t* and r to -r, so t* - 1/2 is
+    # odd in r: t* = 1/2 + r/24 + O(r^3), in both orders
+    a, b = [3.0], [3.0 * math.exp(-r)]
+    assert abs(ch_divergence(a, b).t_star - (0.5 + r / 24)) <= 1e-9
+    assert abs(ch_divergence(b, a).t_star - (0.5 - r / 24)) <= 1e-9
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_symmetric_pairs_have_bit_equal_divergence(k):
     params = SbmParams.symmetric(k, 5.0, 0.5)

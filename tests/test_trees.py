@@ -31,6 +31,7 @@ from netinfer.trees import (
     root_confidence_set,
     root_finding_success,
     root_leaf_probability,
+    root_ranks,
     star,
 )
 
@@ -542,3 +543,26 @@ def test_root_finding_from_file_seed_matches_dense_oracle(tmp_path):
     expect = oracles.dense_root_finding_rate("pa", 50, 5, 40, rng, seed.edges(),
                                              seed.n, scoring="either_endpoint")
     assert got.success_rate == expect
+
+
+@pytest.mark.parametrize("model,seed,scoring", [
+    ("ua", None, "root"), ("pa", None, "root"),
+    ("pa", None, "either_endpoint"), ("ua", star(3), "either_endpoint")])
+def test_root_ranks_match_dense_oracle(model, seed, scoring):
+    n, replicas = 60, 40
+    edges, n0 = _seed_parts(seed if seed is not None else default_seed(model))
+    rng = RngStream(3600, n0)
+    got = root_ranks(model, n, replicas, rng, scoring=scoring, seed=seed)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(
+        got, oracles.dense_root_ranks(model, n, replicas, rng, edges, n0,
+                                      scoring=scoring))
+
+
+def test_root_ranks_from_file_seed_match_dense_oracle(tmp_path):
+    seed = _relabeled_file_tree(tmp_path, grow("pa", 9, RngStream(3700)), 0)
+    rng = RngStream(3701)
+    got = root_ranks("pa", 50, 40, rng, scoring="either_endpoint", seed=seed)
+    np.testing.assert_array_equal(
+        got, oracles.dense_root_ranks("pa", 50, 40, rng, seed.edges(), seed.n,
+                                      scoring="either_endpoint"))
