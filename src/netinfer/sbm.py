@@ -184,12 +184,18 @@ def ch_divergence(c1, c2) -> PoissonTestResult:
     from >= 0 at t = 0 to <= 0 at t = 1. Bisection on its sign takes at
     most 60 halvings and stops early at adjacent floats or at a slope of
     exactly 0 (equal or mirrored profiles).  Both sums are math.fsum, so
-    permuted profile pairs get equal bits.  ln(a/b) is 2 atanh((a - b)/
-    (a + b)), a few ulps from exact even near a = b, where a - b is exact
-    and la - lb would be off by u |ln a|.  So t* is off by at most about
-    the slope's rounding error over D_t's curvature (u, L below, g = a^t
-    b^(1-t)): u (10 + 11 L) sum_x g |ln(a/b)| / sum_x g ln(a/b)^2, which
-    is 2.5e-9 for [3] vs [3 e^-r] at r = 1e-6 (the error seen is 8e-12).
+    permuted profile pairs get equal bits.  Where a and b are within a
+    factor of 2, a - b is exact and ln(a/b) is taken as 2 atanh((a - b)/
+    (a + b)), a few ulps of ln(a/b) itself, where la - lb would be off by
+    about u |ln a| (u = 2^-53), far more as a -> b.  Elsewhere |ln(a/b)|
+    >= ln 2 and la - lb is used, off by about u max(|ln a|, |ln b|); the
+    atanh form would lose u a/b there and turn infinite once b/a < u.
+    Both forms are odd under swapping a and b, so mirrored profiles still
+    cancel exactly.  When every entry takes the atanh form, t* is off by at
+    most about the slope's rounding error over D_t's curvature (L below,
+    g = a^t b^(1-t)): u (10 + 11 L) sum_x g |ln(a/b)| / sum_x g
+    ln(a/b)^2, which is 2.5e-9 for [3] vs [3 e^-r] at r = 1e-6 (the
+    error seen is 8e-12).
 
     Rounding.  Take log and exp to be accurate within 4 ulp (relative
     error at most 8u, u = 2^-53) and write s = 1 - t, L = t|ln a| +
@@ -207,7 +213,11 @@ def ch_divergence(c1, c2) -> PoissonTestResult:
     a, b = _check_profile_pair(c1, c2)
     la, lb = np.log(a), np.log(b)
     diff = a - b
-    lr = 2.0 * np.arctanh(diff / (a + b))  # ln(a/b), accurate near a = b
+    x = diff / (a + b)
+    # ln(a/b): 2 atanh x where a, b are within a factor of 2 (|x| <= 1/3),
+    # la - lb elsewhere; the clip keeps atanh finite on the unused entries
+    lr = np.where(np.abs(x) <= 1.0 / 3.0,
+                  2.0 * np.arctanh(np.clip(x, -0.5, 0.5)), la - lb)
     lo, hi, t = 0.0, 1.0, 0.5
     for _ in range(60):
         slope = math.fsum(diff - np.exp(t * la + (1.0 - t) * lb) * lr)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,31 @@ def test_ch_divergence_t_star_near_equal_profiles(r):
     a, b = [3.0], [3.0 * math.exp(-r)]
     assert abs(ch_divergence(a, b).t_star - (0.5 + r / 24)) <= 1e-9
     assert abs(ch_divergence(b, a).t_star - (0.5 - r / 24)) <= 1e-9
+
+
+@pytest.mark.parametrize("b", [1e-20, 1e-300])
+def test_ch_divergence_far_apart_entries(b):
+    # [1] vs [b]: the slope 1 - b - b^(1-t) L (L = ln(1/b)) vanishes at
+    # 1 - t* = ln(L/(1 - b))/L, and D = t* + (1 - t*) b - (1 - b)/L there
+    lg = -math.log(b)
+    t = 1.0 - math.log(lg / (1.0 - b)) / lg
+    d = t + (1.0 - t) * b - (1.0 - b) / lg
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fwd, rev = ch_divergence([1.0], [b]), ch_divergence([b], [1.0])
+    assert abs(fwd.t_star - t) <= 1e-12 and abs(rev.t_star - (1.0 - t)) <= 1e-12
+    assert_rel_close(fwd.d_plus, d, 1e-12)
+    assert_rel_close(rev.d_plus, d, 1e-12)
+
+
+def test_ch_divergence_symmetric_model_with_tiny_b():
+    # mirrored profiles [1/2, b/2] vs [b/2, 1/2] cancel, so t* = 1/2 exactly
+    params = SbmParams.symmetric(2, 1.0, 1e-17)
+    c1, c2 = community_profiles(params)
+    res = ch_divergence(c1, c2)
+    assert res.t_star == 0.5
+    assert_rel_close(res.d_plus, (math.sqrt(0.5) - math.sqrt(0.5e-17)) ** 2, 1e-12)
+    assert not exact_recovery_solvable(params).solvable
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])

@@ -55,18 +55,29 @@ def test_root_finding_curves_rise_with_k(tmp_path):
         assert all(a <= b for a, b in zip(rates, rates[1:])), (model, rates)
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--k-values", "1,0,5", "every K must be at least 1"),
-    ("--models", "ua,bogus", "unknown model 'bogus'"),
-    ("--replicas", "0", "--replicas must be at least 1"),
-    ("--n", "1", "--n must be at least 2"),
+@pytest.mark.parametrize("argv,message", [
+    (("--k-values", "1,0,5"), "every K must be at least 1"),
+    (("--k-values", "1,x"), "--k-values must be integers"),
+    (("--models", "ua,bogus"), "model must be one of ('ua', 'pa')"),
+    (("--replicas", "0"), "replicas must be positive"),
+    (("--models", "pa", "--n", "1"), "n must be at least the seed size"),
 ])
-def test_root_finding_curves_rejects_bad_input(tmp_path, flag, value, message):
-    proc = _run_script(tmp_path, "root_finding_curves.py", flag, value,
+def test_root_finding_curves_rejects_bad_input(tmp_path, argv, message):
+    proc = _run_script(tmp_path, "root_finding_curves.py", *argv,
                        "--seed", "1", code=2)
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "root_finding_curves.csv").exists()
+
+
+def test_root_finding_curves_takes_ua_at_one_vertex(tmp_path):
+    # a one-vertex UA tree is its root, caught by every K
+    _run_script(tmp_path, "root_finding_curves.py", "--models", "ua",
+                "--n", "1", "--k-values", "1,2", "--replicas", "3",
+                "--seed", "1", "--out", "s.csv")
+    rows = (tmp_path / "s.csv").read_text().splitlines()
+    assert rows == ["model,n,K,success_rate,se", "ua,1,1,1.0,0.0",
+                    "ua,1,2,1.0,0.0"]
 
 
 def test_urn_limits_script_reports(tmp_path):
