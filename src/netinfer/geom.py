@@ -12,9 +12,13 @@ dense sphere graphs with d >= n, are drawn through the Bartlett
 decomposition W = L L^T from about n^2/2 numbers, so their cost does not
 grow with d.  The Gram matrix of n uniform sphere points is W(n, d)
 divided by its diagonal, so G(n, p, d) follows from the same draw.
-Uniform and Rademacher entries and d < n draw all n d entries, but a
-cache-sized chunk of columns at a time, summing the chunks' Gram
-products, so memory does not grow with d.
+Uniform entries and d < n draw all n d entries, but a cache-sized chunk
+of columns at a time, summing the chunks' Gram products, so memory does
+not grow with d.  Fair coins, the edges of dense G(n, 1/2) and the signs
+of Rademacher entries, are single bits of raw Philox words, 64 to a word;
+a Rademacher Gram matrix is counted from the packed bits of its rows,
+W_ij = d - 2 popcount(y_i xor y_j), a cache-sized chunk of words at a
+time.
 
 Random graphs take the dense store only when graphcore.prefers_dense says
 it pays for the expected edge count; otherwise G(n, p) is drawn by
@@ -391,11 +395,17 @@ def _stack_fits(n: int) -> bool:
 
 
 def _er_stack(n: int, p: float, gens) -> np.ndarray:
-    """Dense G(n, p) adjacency matrices from n x n uniform masks."""
-    u = np.empty((len(gens), n, n))
-    for out, gen in zip(u, gens):
-        gen.random(out=out)
-    return _symmetrize(u < p)
+    """Dense G(n, p) adjacency matrices from n x n Bernoulli(p) masks: at
+    p = 1/2 the n^2 fair coins of _coins, ceil(n^2/64) raw words per
+    replica; otherwise one float64 uniform per entry, below p."""
+    if p == 0.5:
+        masks = _coins(gens, 1, n * n).view(bool).reshape(len(gens), n, n)
+    else:
+        u = np.empty((len(gens), n, n))
+        for out, gen in zip(u, gens):
+            gen.random(out=out)
+        masks = u < p
+    return _symmetrize(masks)
 
 
 def _rgg_stack(n: int, p: float, d: int, gens) -> np.ndarray:
@@ -412,17 +422,21 @@ def _rgg_stack(n: int, p: float, d: int, gens) -> np.ndarray:
 
 def _sphere_stack(n: int, d: int, gens) -> np.ndarray:
     """n uniform points on S^{d-1} per generator: normalized standard
-    Gaussians.  An all-zero row is drawn again from its replica's generator
-    before the next one is taken; the whole block is normalized at the end."""
+    Gaussians.  A replica whose squared entries are all positive has
+    positive row norms; any other draws each all-zero row again from its
+    own generator before the next replica is drawn.  The whole block is
+    normalized at the end."""
     X = np.empty((len(gens), n, d))
-    norms = np.empty((len(gens), n, 1))
-    for x, sq, gen in zip(X, norms, gens):
+    squares = np.empty_like(X)
+    for x, sq, gen in zip(X, squares, gens):
         gen.standard_normal(out=x)
-        np.add.reduce(np.square(x), axis=-1, keepdims=True, out=sq)
-        while (sq == 0.0).any():
-            bad = sq[:, 0] == 0.0
+        np.square(x, out=sq)
+        if np.count_nonzero(sq) == sq.size:
+            continue
+        while (bad := np.add.reduce(sq, axis=-1) == 0.0).any():
             x[bad] = gen.standard_normal((int(bad.sum()), d))
-            np.add.reduce(np.square(x), axis=-1, keepdims=True, out=sq)
+            np.square(x, out=sq)
+    norms = np.add.reduce(squares, axis=-1, keepdims=True)
     X /= np.sqrt(norms, out=norms)
     return X
 
@@ -481,12 +495,13 @@ def _wishart_stack(n: int, d: int, entry_dist: str, kind: str,
     return math.sqrt(d) * M + d * np.eye(n)
 
 
-# A column chunk of the entry matrix Y in _entry_gram holds at most this many
-# bytes, unless n columns take more, so a chunk and its Gram product stay in
-# a core's L2 cache (2 MiB on the 2-vCPU Xeon this was timed on).  Timed
-# from 256 KiB to 2 MiB at n = 32, d = 1.6e5, one replica alone and two on
-# two threads: 512 KiB and 1 MiB tied, 256 KiB was slower on two threads
-# and 2 MiB on one.
+# A column chunk of the entry matrix Y in _entry_gram, or of its packed coins
+# in _sign_gram, holds at most this many bytes, unless n columns (n words)
+# take more, so a chunk and its Gram product stay in a core's L2 cache (2 MiB
+# on the 2-vCPU Xeon this was timed on).  Timed from 256 KiB to 2 MiB at
+# n = 32, d = 1.6e5, one replica alone and two on two threads: 512 KiB and
+# 1 MiB tied, 256 KiB was slower on two threads and 2 MiB on one.  Packed
+# coins took the same time from 512 KiB to 4 MiB at n = 32, d = 1e6.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -497,8 +512,11 @@ def _entry_gram(n: int, d: int, entry_dist: str, gen, out: np.ndarray) -> None:
     time (the last chunk may be narrower), row-major within the chunk, and
     the chunk's Gram product is added, so memory is O(n c + n^2) whatever
     d is.  For d <= c, as for every gaussian draw (d < n here), that is
-    the single draw of Y.
+    the single draw of Y.  Rademacher entries take _sign_gram instead.
     """
+    if entry_dist == "rademacher":
+        _sign_gram(n, d, gen, out)
+        return
     width = min(d, max(n, _CHUNK_BYTES // (8 * n)))
     for start in range(0, d, width):
         Y = _draw_entries(gen, (n, min(width, d - start)), entry_dist)
@@ -506,6 +524,34 @@ def _entry_gram(n: int, d: int, entry_dist: str, gen, out: np.ndarray) -> None:
             np.matmul(Y, Y.T, out=out)
         else:
             out += Y @ Y.T
+
+
+def _sign_gram(n: int, d: int, gen, out: np.ndarray) -> None:
+    """Y Y^T into out, for Y an n x d matrix of Rademacher entries 2 b - 1
+    with b the fair coins of _coins, counted from the packed coins: with
+    y_i the words of row i, W_ij = d - 2 popcount(y_i xor y_j), exact.
+
+    The rows are drawn a chunk of w = max(1, _CHUNK_BYTES // (8 n)) words
+    each at a time (the last chunk may be narrower), row-major within the
+    chunk, so a chunk holds at most _CHUNK_BYTES unless n words take more;
+    a chunk takes the words _coins draws for its 64 w columns, and the
+    bits past d in the last word are cleared.  For d <= 64 w that is the
+    one _coins draw of Y.  Each row is counted against the rows below it,
+    one (n - 1 - i) x w block at a time: at n = 32, d = 1e5 that took
+    1.6 ms, against 4.4 ms for one (n, n, w) block of all pairs.
+    """
+    words = -(-d // 64)
+    width = min(words, max(1, _CHUNK_BYTES // (8 * n)))
+    flips = np.zeros((n, n), dtype=np.int64)
+    for start in range(0, words, width):
+        y = gen.bit_generator.random_raw((n, min(width, words - start)))
+        if start + width >= words and d % 64:
+            y[:, -1] &= np.uint64((1 << (d % 64)) - 1)
+        for i in range(n - 1):
+            flips[i, i + 1:] += np.bitwise_count(y[i + 1:] ^ y[i]).sum(
+                axis=-1, dtype=np.int64)
+    flips += flips.T
+    np.subtract(d, 2 * flips, out=out)
 
 
 def _dense_rgg(gram: np.ndarray, t: float) -> np.ndarray:
@@ -594,8 +640,22 @@ def _draw_entries(gen: np.random.Generator, shape, entry_dist: str) -> np.ndarra
     if entry_dist == "uniform-scaled":
         return gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
     if entry_dist == "rademacher":
-        return 2.0 * gen.integers(0, 2, size=shape).astype(np.float64) - 1.0
+        coins = _coins((gen,), math.prod(shape[:-1]), shape[-1])
+        return (2.0 * coins - 1.0).reshape(shape)
     raise ValueError(f"entry_dist must be one of {ENTRY_DISTS}")
+
+
+def _coins(gens, rows: int, cols: int) -> np.ndarray:
+    """(len(gens), rows, cols) fair coins, uint8 0 or 1, one bit of a raw
+    Philox word each.  Each generator in turn draws ceil(cols/64) words
+    per row, row after row; coin k of a row is bit k mod 64 of its word
+    k // 64.  The words are stored as "<u8" and unpacked little-endian, so
+    the coins do not depend on the platform's byte order."""
+    words = np.empty((len(gens), rows, -(-cols // 64)), dtype="<u8")
+    for out, gen in zip(words, gens):
+        out[...] = gen.bit_generator.random_raw(out.shape)
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=cols,
+                         bitorder="little")
 
 
 def _rgg_circle(coords: np.ndarray, t: float) -> Graph:

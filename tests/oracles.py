@@ -5,7 +5,10 @@ parent-array trees, the block-pair SBM sampler, the one-hot product of
 genie-aided recovery, the urn ensemble, the replica loops of `sbm
 recover` and the degree-scaling experiment, and the one-matrix-at-a-time
 geometry replicas are checked against them for identical results (where
-the arithmetic is the same) or the same law.
+the arithmetic is the same) or the same law.  The fair coins of dense
+G(n, 1/2) and of Rademacher entries are read from raw Philox words by
+shifts; the float and integer draws they replaced are kept as the
+references for their law.
 The tree helpers at the end (a uniform relabeling, component sizes, psi,
 AHU signatures) are the definitions the tests check the library against.
 """
@@ -232,8 +235,28 @@ def replica_loop(fn, replicas: int, rng) -> np.ndarray:
                     dtype=np.float64)
 
 
+def loop_coins(gen, rows: int, cols: int) -> np.ndarray:
+    """rows x cols int64 fair coins, 0 or 1: ceil(cols/64) raw Philox words
+    per row, row after row, and coin k of a row the bit k mod 64 of its
+    word k // 64, read by shifts."""
+    per_row = -(-cols // 64)
+    words = gen.bit_generator.random_raw((rows, per_row, 1))
+    bits = (words >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(rows, 64 * per_row)[:, :cols].astype(np.int64)
+
+
 def loop_er(n: int, p: float, gen) -> np.ndarray:
-    """Dense G(n, p) adjacency from one n x n uniform mask."""
+    """Dense G(n, p) adjacency: at p = 1/2 from one row of n^2 fair coins,
+    otherwise from one n x n uniform mask."""
+    if p != 0.5:
+        return loop_er_uniform(n, p, gen)
+    adj = np.triu(loop_coins(gen, 1, n * n).reshape(n, n) == 1, 1)
+    return adj | adj.T
+
+
+def loop_er_uniform(n: int, p: float, gen) -> np.ndarray:
+    """Dense G(n, p) adjacency from one n x n uniform mask, below p: the
+    float draw, kept at p = 1/2 as the reference for the law of the coins."""
     adj = np.triu(gen.random((n, n)) < p, 1)
     return adj | adj.T
 
@@ -253,22 +276,37 @@ def loop_rgg(n: int, p: float, d: int, gen) -> np.ndarray:
         X = loop_bartlett(n, d, gen)
         X /= np.linalg.norm(X, axis=1, keepdims=True)
     else:
-        X = gen.standard_normal((n, d))
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        while (norms == 0.0).any():
-            bad = norms[:, 0] == 0.0
-            X[bad] = gen.standard_normal((int(bad.sum()), d))
-            norms = np.linalg.norm(X, axis=1, keepdims=True)
-        X /= norms
+        X = loop_sphere(n, d, gen)
     adj = np.triu(X @ X.T >= t, 1)
     return adj | adj.T
 
 
-def _loop_entries(gen, shape, entry_dist: str) -> np.ndarray:
+def loop_sphere(n: int, d: int, gen) -> np.ndarray:
+    """n normalized standard Gaussian rows, an all-zero row drawn again
+    until none is left."""
+    X = gen.standard_normal((n, d))
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    while (norms == 0.0).any():
+        bad = norms[:, 0] == 0.0
+        X[bad] = gen.standard_normal((int(bad.sum()), d))
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return X / norms
+
+
+def loop_entries(gen, shape, entry_dist: str) -> np.ndarray:
+    """Entries of one law; Rademacher signs 2 b - 1 from the fair coins b
+    of loop_coins, a row along the last axis."""
     if entry_dist == "gaussian":
         return gen.standard_normal(shape)
     if entry_dist == "uniform-scaled":
         return gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
+    coins = loop_coins(gen, math.prod(shape[:-1]), shape[-1])
+    return 2.0 * coins.reshape(shape) - 1.0
+
+
+def integer_signs(gen, shape) -> np.ndarray:
+    """Rademacher entries from one integer draw each: the former draw, kept
+    as the reference for the law of the coins."""
     return 2.0 * gen.integers(0, 2, size=shape).astype(np.float64) - 1.0
 
 
@@ -282,18 +320,18 @@ def loop_wishart(n: int, d: int, entry_dist: str, kind: str, gen) -> np.ndarray:
             L = loop_bartlett(n, d, gen)
             W = L @ L.T
         else:
-            Y = _loop_entries(gen, (n, d), entry_dist)
+            Y = loop_entries(gen, (n, d), entry_dist)
             W = Y @ Y.T
         W = (W + W.T) / 2.0
         if kind == "wishart_scaled_nodiag":
             np.fill_diagonal(W, 0.0)
             W /= math.sqrt(d)
         return W
-    M = np.triu(_loop_entries(gen, (n, n), entry_dist), 1)
+    M = np.triu(loop_entries(gen, (n, n), entry_dist), 1)
     M = M + M.T
     if kind == "goe_nodiag":
         return M
-    np.fill_diagonal(M, math.sqrt(2.0) * _loop_entries(gen, (n,), entry_dist))
+    np.fill_diagonal(M, math.sqrt(2.0) * loop_entries(gen, (n,), entry_dist))
     return math.sqrt(d) * M + d * np.eye(n)
 
 
@@ -302,7 +340,7 @@ def chunked_gram(n: int, d: int, width: int, entry_dist: str, gen) -> np.ndarray
     but the last, drawn one after another as fresh arrays."""
     W = np.zeros((n, n))
     for start in range(0, d, width):
-        Y = _loop_entries(gen, (n, min(width, d - start)), entry_dist)
+        Y = loop_entries(gen, (n, min(width, d - start)), entry_dist)
         W += Y @ Y.T
     return W
 

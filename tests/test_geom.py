@@ -9,7 +9,9 @@ from scipy import integrate
 from scipy.special import betainc, betaincinv
 
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
-from oracles import chunked_gram, dense_adj, direct_tau, loop_wishart
+from oracles import (chunked_gram, dense_adj, direct_tau, integer_signs,
+                     loop_entries, loop_er_uniform, loop_sphere, loop_tau,
+                     loop_triangles, loop_wishart)
 from netinfer import geom
 from netinfer.geom import (
     calibrate_tau,
@@ -29,12 +31,13 @@ from netinfer.geom import (
     triangle_moments_er,
     _bartlett_stack,
     _dense_rgg,
-    _draw_entries,
     _er_stack,
     _rgg_circle,
     _rgg_stack,
     _signs,
+    _sphere_stack,
     _tau,
+    _triangles,
     _wishart_stack,
 )
 from netinfer.graphcore import (DenseSizeError, Graph, RngStream,
@@ -74,6 +77,37 @@ def test_sphere_validation():
         sample_sphere(5, 1, RngStream(0, 0))
     with pytest.raises(ValueError, match="positive"):
         sample_sphere(0, 3, RngStream(0, 0))
+
+
+class _Zeroed:
+    """A Philox generator whose first `times` standard normal draws have
+    their entries at `index` set to zero."""
+
+    def __init__(self, seed, index, times):
+        self._gen = np.random.Generator(np.random.Philox(seed))
+        self._index, self._times = index, times
+
+    def standard_normal(self, size=None, out=None):
+        x = self._gen.standard_normal(size, out=out)
+        if self._times > 0:
+            x[self._index] = 0.0
+            self._times -= 1
+        return x
+
+
+@pytest.mark.parametrize("index,times", [((1,), 1), ((0,), 2), ((2, 1), 1)],
+                         ids=["zero-row", "zero-row-twice", "zero-entry"])
+def test_sphere_stack_draws_zero_rows_again(index, times):
+    # only the stubbed replica fails the all-squares-positive screen; it
+    # takes the redraw loop (a zero entry alone redraws nothing), and every
+    # replica keeps the bits of the one-replica loop
+    def gens():
+        return (np.random.Generator(np.random.Philox(7)),
+                _Zeroed(8, index, times),
+                np.random.Generator(np.random.Philox(9)))
+    X = _sphere_stack(5, 3, gens())
+    for x, gen in zip(X, gens()):
+        assert x.tobytes() == loop_sphere(5, 3, gen).tobytes()
 
 
 def test_n_by_d_draws_are_refused_before_allocation():
@@ -661,57 +695,97 @@ def test_bartlett_path_matches_direct_law(n, d):
         assert ks_distance(fast[:, k], direct[:, k]) < _KS_CRIT, k
 
 
-@pytest.mark.parametrize("entry_dist", ["uniform-scaled", "rademacher"])
-@pytest.mark.parametrize("full,extra", [(1, 17), (3, 0)], ids=["c+17", "3c"])
-def test_chunked_entry_gram_matches_direct_law(monkeypatch, entry_dist, full,
-                                               extra):
-    """Wishart matrices summed over column chunks of the entry matrix have
-    the law of the one-array direct draw, at d = c + 17 (a partial last
-    chunk) and d = 3c: two off-diagonal entries of W(n, d), tr(A^3) of the
-    scaled ensemble and tau of h_map(W), each path on its own substreams.
-    The chunk cap is cut to c = 256 columns at n = 16 to keep d small."""
-    n, c = 16, 256
-    monkeypatch.setattr(geom, "_CHUNK_BYTES", 8 * n * c)
-    d = full * c + extra
-    base = RngStream(45, d)
+def _direct_wishart(n, d, entry_dist, gen):
+    """W(n, d) from one n x d draw of the entries; Rademacher entries from
+    the former integer draw, the reference for the law of the coins."""
+    if entry_dist == "rademacher":
+        Y = integer_signs(gen, (n, d))
+        return Y @ Y.T
+    return loop_wishart(n, d, entry_dist, "wishart", gen)
 
+
+def _assert_entry_law(n, d, entry_dist, base):
+    """sample_wishart on substreams 0.._R-1 of base against _direct_wishart
+    on the next _R: two-sample KS at alpha = 1e-3 of two off-diagonal
+    entries of W(n, d), tr(A^3) of the scaled ensemble and tau of h_map(W).
+    """
     def stats(W):
         A = W - np.diag(np.diag(W))
         return (W[0, 1], W[n - 2, n - 1], tr_cubed(A / math.sqrt(d)),
                 signed_triangle_stat(h_map(W), 0.5))
 
-    def chunked(s):
+    def drawn(s):
         W = sample_wishart(n, d, entry_dist=entry_dist, rng=s)
         A = sample_wishart(n, d, entry_dist=entry_dist,
                            kind="wishart_scaled_nodiag", rng=s)
         assert (A == (W - np.diag(np.diag(W))) / math.sqrt(d)).all()
         return stats(W)
 
-    def direct(s):
-        return stats(loop_wishart(n, d, entry_dist, "wishart", s.generator()))
-
-    # the chunk layout puts other numbers on the entries than the direct draw
+    # the chunk layout, or the coins, put other numbers on the entries
     s = base.substream(0)
     assert (sample_wishart(n, d, entry_dist=entry_dist, rng=s)
-            != loop_wishart(n, d, entry_dist, "wishart", s.generator())).any()
-    fast = replicate(chunked, _R, base)
-    slow = replicate(direct, _R, base.substream(_R))
+            != _direct_wishart(n, d, entry_dist, s.generator())).any()
+    fast = replicate(drawn, _R, base)
+    slow = replicate(lambda s: stats(_direct_wishart(n, d, entry_dist,
+                                                     s.generator())),
+                     _R, base.substream(_R))
     for k in range(fast.shape[1]):
         assert ks_distance(fast[:, k], slow[:, k]) < _KS_CRIT, k
 
 
 @pytest.mark.parametrize("entry_dist", ["uniform-scaled", "rademacher"])
-@pytest.mark.parametrize("n,d,cap", [(16, 273, 8 * 16 * 256),
-                                     (16, 768, 8 * 16 * 256),
-                                     (16, 17, 8 * 16 * 4),
-                                     (32, 10000, None)])
+@pytest.mark.parametrize("full,extra", [(1, 17), (3, 0)], ids=["c+17", "3c"])
+def test_chunked_entry_gram_matches_direct_law(monkeypatch, entry_dist, full,
+                                               extra):
+    """Wishart matrices summed over column chunks of the entry matrix have
+    the law of the one-array direct draw, at d = c + 17 (a partial last
+    chunk) and d = 3c (_assert_entry_law).  The chunk cap is cut to
+    c = 256 columns at n = 16 to keep d small: 8 n c bytes of uniform
+    entries, or 4 words a row of packed Rademacher coins."""
+    n, c = 16, 256
+    packed = 64 if entry_dist == "rademacher" else 1
+    monkeypatch.setattr(geom, "_CHUNK_BYTES", 8 * n * c // packed)
+    d = full * c + extra
+    _assert_entry_law(n, d, entry_dist, RngStream(45, d))
+
+
+@pytest.mark.parametrize("d", [40, 4096])
+def test_rademacher_coins_match_the_integer_draw_law(d):
+    """Rademacher Wishart matrices from fair coins, in one chunk, have the
+    law of the former integer draw (_assert_entry_law): d = 40 is part of
+    one word a row, d = 4096 is 64 whole words."""
+    _assert_entry_law(16, d, "rademacher", RngStream(49, d))
+
+
+_CHUNKED = [(16, 273, 8 * 16 * 256), (16, 768, 8 * 16 * 256),
+            (32, 10000, None)]
+
+
+@pytest.mark.parametrize("n,d,cap,entry_dist", [
+    *((n, d, cap, "uniform-scaled") for n, d, cap in _CHUNKED),
+    (16, 17, 8 * 16 * 4, "uniform-scaled"),
+    *((n, d, cap, "rademacher") for n, d, cap in _CHUNKED),
+    (16, 150, 8 * 16 * 4, "rademacher"),
+    (1, 100, 8, "uniform-scaled"), (1, 100, 8, "rademacher")])
 def test_entry_gram_sums_its_column_chunks(monkeypatch, entry_dist, n, d, cap):
     """Each chunk is max(n, cap // 8n) columns, the last one partial, drawn
-    in order from the replica's generator as a fresh array.  (Gaussian
-    entries are chunked only for d < n, which is always one chunk.)"""
-    if cap is not None:
-        monkeypatch.setattr(geom, "_CHUNK_BYTES", cap)
-    width = max(n, geom._CHUNK_BYTES // (8 * n))
+    in order from the replica's generator as a fresh array, and its Gram
+    product is added.  (Gaussian entries are chunked only for d < n, which
+    is always one chunk.)
+
+    A Rademacher chunk is packed, 64 coins a word: its cap is cut to
+    cap / 64, which leaves 64 max(1, cap // 512n) columns, and its Gram
+    matrix is counted from the words, d - 2 popcount(y_i xor y_j).  The
+    float Gram of the signs unpacked from the same words is the same
+    integers, with the coins past each chunk's last column not counted."""
+    if entry_dist == "rademacher":
+        monkeypatch.setattr(geom, "_CHUNK_BYTES",
+                            (cap or geom._CHUNK_BYTES) // 64)
+        width = 64 * max(1, geom._CHUNK_BYTES // (8 * n))
+    else:
+        if cap is not None:
+            monkeypatch.setattr(geom, "_CHUNK_BYTES", cap)
+        width = max(n, geom._CHUNK_BYTES // (8 * n))
     assert width < d
     s = RngStream(46, d)
     expect = chunked_gram(n, d, width, entry_dist, s.generator())
@@ -732,7 +806,7 @@ def test_wishart_path_follows_entry_law_and_dimension(n, d, entry_dist, bartlett
         L = _bartlett_stack(n, d, (s.generator(),))[0]
         expect = L @ L.T
     else:
-        Y = _draw_entries(s.generator(), (n, d), entry_dist)
+        Y = loop_entries(s.generator(), (n, d), entry_dist)
         expect = Y @ Y.T
     w = sample_wishart(n, d, entry_dist=entry_dist, rng=s)
     assert (w == (expect + expect.T) / 2.0).all()
@@ -751,6 +825,28 @@ def test_rgg_path_follows_dimension(n, d, bartlett):
         X = sample_sphere(n, d, s)
     adj = np.triu(X @ X.T >= threshold(0.4, d), 1)
     assert (sample_rgg(n, 0.4, d, s).adj == (adj | adj.T)).all()
+
+
+@pytest.mark.parametrize("n", [30, 64])
+def test_fair_coin_er_matches_the_uniform_mask_law(n):
+    """Dense G(n, 1/2) from fair coins has the law of the float draw it
+    replaced: two-sample KS of the edge count, triangle count and tau at
+    alpha = 1e-3, each path on its own substreams.  n^2 = 900 ends inside
+    a word; 4096 is 64 whole words."""
+    base = RngStream(47, n)
+    coins = []
+    for start in range(0, _R, 500):
+        adj = _er_stack(n, 0.5, SubstreamGenerators(base, start, start + 500))
+        coins.append(np.column_stack((adj.sum(axis=(1, 2)) // 2,
+                                      _triangles(adj), _tau(adj, 0.5))))
+
+    def uniform(s):
+        adj = loop_er_uniform(n, 0.5, s.generator())
+        return adj.sum() // 2, loop_triangles(adj), loop_tau(adj, 0.5)
+    coins = np.concatenate(coins)
+    floats = replicate(uniform, _R, base.substream(_R))
+    for k in range(3):
+        assert ks_distance(coins[:, k], floats[:, k]) < _KS_CRIT, k
 
 
 @pytest.mark.parametrize("n,p,reps", [(40, 0.3, _R), (300, 0.01, 1000),

@@ -33,6 +33,9 @@ def _matrix(n, d, entry_dist, kind, stat):
 CASES = {
     "er-tau": (geom.graph_replica(30, 0.3, "tau"), _graph(30, 0.3, "tau")),
     "er-t": (geom.graph_replica(30, 0.3, "t"), _graph(30, 0.3, "t")),
+    # fair coins: n^2 = 900 ends inside a word, 256 fills exactly four
+    "er-half-tau": (geom.graph_replica(30, 0.5, "tau"), _graph(30, 0.5, "tau")),
+    "er-half-t": (geom.graph_replica(16, 0.5, "t"), _graph(16, 0.5, "t")),
     "rgg-bartlett-tau": (geom.graph_replica(16, 0.5, "tau", 40),
                          _graph(16, 0.5, "tau", 40)),
     "rgg-bartlett-t": (geom.graph_replica(16, 0.4, "t", 16),
