@@ -402,29 +402,22 @@ def bfs_order(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     Neighbours join in ascending id order.  parent[root] == -1; vertices
     outside the component keep parent -2.
     """
+    # importing scipy.sparse.csgraph costs every command about 60 ms of
+    # start-up, so only the callers of this function pay for it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
     g._check_vertex(root)
     indptr, indices = g.csr()
+    # the rows are symmetric and sorted, so the directed walk visits each
+    # vertex's neighbours in ascending order, as a queue search does
+    adj = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                     shape=(g.n, g.n))
+    order, pred = breadth_first_order(adj, root, directed=True,
+                                      return_predecessors=True)
     parent = np.full(g.n, -2, dtype=np.int64)
+    parent[order[1:]] = pred[order[1:]]
     parent[root] = -1
-    levels = [np.array([root], dtype=np.int64)]
-    while True:
-        frontier = levels[-1]
-        starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
-        # the frontier's neighbour lists, concatenated in frontier order
-        offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        nbrs = indices[offsets + np.arange(offsets.size)]
-        src = np.repeat(frontier, lens)
-        fresh = parent[nbrs] == -2
-        nbrs, src = nbrs[fresh], src[fresh]
-        if nbrs.size == 0:
-            break
-        # a vertex reached from several frontier vertices joins from the first
-        _, first = np.unique(nbrs, return_index=True)
-        first.sort()
-        parent[nbrs[first]] = src[first]
-        levels.append(nbrs[first])
-    return np.concatenate(levels), parent
+    return order.astype(np.int64, copy=False), parent
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -470,8 +463,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; emits 1-indexed edges with u < v, sorted."""
-    out = [f"{g.n} {g.m}"]
-    for u, v in g.edges():
-        out.append(f"{u + 1} {v + 1}")
-    return "\n".join(out) + "\n"
+    e = g.edges() + 1
+    lines = map("{} {}".format, e[:, 0].tolist(), e[:, 1].tolist())
+    return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
 

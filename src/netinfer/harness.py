@@ -14,6 +14,7 @@ function is fanned out over worker threads.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -140,8 +141,9 @@ def replicate(fn: Callable[[RngStream], float | np.ndarray], replicas: int,
     fn returns a scalar or a fixed-length 1-d array, giving a (replicas,)
     or (replicas, k) float64 array.  A Batched fn is evaluated a block of
     replicas at a time, in block order on the calling thread.  A plain fn
-    is fanned out over `jobs` threads when jobs > 1; results are collected
-    by replica index, so the output is independent of jobs.
+    is fanned out over min(jobs, replicas, CPU count) threads when that is
+    more than one; results are collected by replica index, so the output
+    is independent of jobs.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
@@ -154,9 +156,10 @@ def replicate(fn: Callable[[RngStream], float | np.ndarray], replicas: int,
                                for start, stop in zip(edges, edges[1:])]
                               ).astype(np.float64, copy=False)
     streams = map(rng.substream, range(replicas))
-    if jobs <= 1 or replicas == 1:
+    workers = min(jobs, replicas, os.cpu_count() or 1)
+    if workers <= 1:
         return np.array([fn(s) for s in streams], dtype=np.float64)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.array(list(pool.map(fn, streams)), dtype=np.float64)
 
 

@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
-from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
-                        bfs_order)
+from .graphcore import Graph, RngStream, bernoulli_pairs, bernoulli_positions
 
 REGIMES = ("constant", "logarithmic", "linear")
 
@@ -278,15 +277,12 @@ def finest_partition(params: SbmParams) -> list[list[int]]:
         for j in range(i + 1, k):
             if ch_divergence(profiles[i], profiles[j]).d_plus < 1.0:
                 close[i, j] = close[j, i] = True
-    graph = Graph._trusted(close)
-    blocks: list[list[int]] = []
-    seen = np.zeros(k, dtype=bool)
-    for start in range(k):
-        if not seen[start]:
-            comp = np.sort(bfs_order(graph, start)[0])
-            seen[comp] = True
-            blocks.append(comp.tolist())
-    return blocks
+    # importing scipy.sparse.csgraph costs every command about 60 ms of
+    # start-up, so only the callers of this function pay for it
+    from scipy.sparse.csgraph import connected_components
+    # components are numbered in order of their smallest member
+    count, label = connected_components(close, directed=False)
+    return [np.flatnonzero(label == c).tolist() for c in range(count)]
 
 
 def degree_profile(lg: LabeledGraph, v: int, k: int | None = None) -> np.ndarray:

@@ -8,7 +8,9 @@ geometry replicas are checked against them for identical results (where
 the arithmetic is the same) or the same law.  The fair coins of dense
 G(n, 1/2) and of Rademacher entries are read from raw Philox words by
 shifts; the float and integer draws they replaced are kept as the
-references for their law.
+references for their law.  A queue search over dense rows and a pairwise
+union of close communities check the breadth-first order and the
+finest partition, which scipy.sparse.csgraph computes.
 The tree helpers at the end (a uniform relabeling, component sizes, psi,
 AHU signatures) are the definitions the tests check the library against.
 """
@@ -143,6 +145,20 @@ def dense_sample_sbm(n: int, params, rng) -> tuple[np.ndarray, np.ndarray]:
     block = gen.random((n, n)) < probs[np.ix_(labels, labels)]
     adj = np.triu(block, 1)
     return adj | adj.T, labels
+
+
+def union_of_close_pairs(params) -> list[list[int]]:
+    """Blocks of communities joined pair by pair whenever D_+ < 1: each
+    close pair merges the two sets holding it.  Listed by smallest member."""
+    profiles = sbm.community_profiles(params)
+    blocks = [{i} for i in range(params.k)]
+    for i in range(params.k):
+        for j in range(i + 1, params.k):
+            if sbm.ch_divergence(profiles[i], profiles[j]).d_plus < 1.0:
+                merged = blocks[i] | blocks[j]
+                for v in merged:
+                    blocks[v] = merged
+    return sorted({min(b): sorted(b) for b in blocks}.values())
 
 
 def loop_sbm_recover(n: int, params, corruption: float, rounds: int,

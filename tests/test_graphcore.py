@@ -17,6 +17,7 @@ from netinfer.graphcore import (
     parse_edge_list,
     serialize_edge_list,
 )
+from netinfer.trees import path
 
 # ---------------------------------------------------------------- parsing
 
@@ -244,6 +245,20 @@ def test_bfs_order_matches_dense_queue(case, root):
         order, parent = bfs_order(g, root)
         np.testing.assert_array_equal(order, expect[0])
         np.testing.assert_array_equal(parent, expect[1])
+
+
+def test_deep_path_walks_end_to_end():
+    # 10^5 levels: one level per vertex, whichever end the walk starts from
+    n = 10**5
+    line = path(n)
+    edges = line.edges()[np.random.default_rng(0).permutation(n - 1)]
+    t = Tree.from_edges(n, edges[:, ::-1])
+    np.testing.assert_array_equal(t.parent, line.parent)
+    order, parent = bfs_order(line, n - 1)
+    np.testing.assert_array_equal(order, np.arange(n)[::-1])
+    assert order.dtype == parent.dtype == np.int64
+    assert parent[n - 1] == -1
+    np.testing.assert_array_equal(parent[:-1], np.arange(1, n))
 
 
 # ---------------------------------------------------------------- stores

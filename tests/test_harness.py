@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from netinfer import harness
 from netinfer.graphcore import RngStream
 from netinfer.harness import (
     ks_distance,
@@ -168,9 +169,10 @@ def test_replicate_vector_results_are_rows_in_replica_order(jobs):
     assert serial.tobytes() == replicate(draw, 7, base, jobs=jobs).tobytes()
 
 
-def test_replicate_fans_plain_functions_out_over_threads():
+def test_replicate_fans_plain_functions_out_over_threads(monkeypatch):
     # two replicas can meet at the barrier only when they run at once; a
     # serial loop would leave the first one waiting until the timeout
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     barrier = threading.Barrier(2, timeout=10)
 
     def draw(stream: RngStream) -> float:
@@ -180,6 +182,38 @@ def test_replicate_fans_plain_functions_out_over_threads():
     vals = replicate(draw, 4, RngStream(13), jobs=2)
     assert vals.tolist() == [RngStream(13).substream(i).generator().random()
                              for i in range(4)]
+
+
+@pytest.mark.parametrize("cpus, replicas, workers", [
+    (2, 5, [2]), (8, 3, [3]), (None, 5, []), (1, 5, []), (4, 1, [])])
+def test_replicate_threads_stay_under_replicas_and_cpus(monkeypatch, cpus,
+                                                        replicas, workers):
+    sizes = []
+
+    class Pool:
+        """Stand-in ThreadPoolExecutor: records max_workers, maps serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    base = RngStream(14)
+
+    def draw(stream: RngStream) -> float:
+        return float(stream.generator().random())
+
+    vals = replicate(draw, replicas, base, jobs=10**6)
+    assert sizes == workers
+    assert vals.tolist() == [draw(base.substream(i)) for i in range(replicas)]
 
 
 # ------------------------------------------------------- two-arm power test

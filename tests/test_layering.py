@@ -39,10 +39,14 @@ def test_the_check_sees_private_names(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about half a second and 45 MiB to import; only
-    # sbm.lecam_tv needs it, and imports it when called
-    probe = "import sys, netinfer.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats takes about half a second and 45 MiB to import, and
+    # scipy.sparse.csgraph about 60 ms; the functions that need them
+    # (sbm.lecam_tv, graphcore.bfs_order, sbm.finest_partition) import
+    # them when called
+    lazy = ("scipy.stats", "scipy.sparse.csgraph")
+    probe = ("import sys, netinfer.cli; "
+             f"print([m for m in {lazy!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, cwd=PACKAGE.parent,
                          timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -322,6 +322,34 @@ def test_finest_partition_merges_close_pair():
     assert finest_partition(params) == [[0, 1], [2]]
 
 
+def _clustered_params(k: int, seed: int) -> SbmParams:
+    """Non-symmetric model whose communities fall into a few types: the
+    rows of Q within a type differ only by a little noise, so D_+ is small
+    inside a type and mostly large across types."""
+    gen = np.random.default_rng(seed)
+    types = gen.integers(0, max(2, k // 2), size=k)
+    centre = gen.uniform(1.0, 80.0, size=(k, k))
+    noise = gen.uniform(0.0, 4.0, size=(k, k))
+    Q = centre[types][:, types] + noise
+    return SbmParams(k=k, p=gen.dirichlet(np.full(k, 4.0)), Q=(Q + Q.T) / 2)
+
+
+_PARTITION_CASES = (
+    [SbmParams.symmetric(k, a, b) for k in range(3, 8)
+     for a, b in ((9.0, 1.0), (2.0, 1.0), (16.0, 4.0))]
+    + [_clustered_params(k, seed) for k in range(3, 8) for seed in range(12)])
+
+
+def test_finest_partition_matches_union_of_close_pairs():
+    shapes = set()
+    for params in _PARTITION_CASES:
+        blocks = finest_partition(params)
+        assert blocks == oracles.union_of_close_pairs(params)
+        shapes.add((len(blocks) == 1, len(blocks) == params.k))
+    # whole, singleton and mixed partitions all occur
+    assert shapes == {(True, False), (False, True), (False, False)}
+
+
 # ------------------------------------------------------- degree profiles
 
 
