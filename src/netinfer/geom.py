@@ -294,26 +294,23 @@ def matrix_replica(n: int, d: int, entry_dist: str, kind: str,
     tr(W^3), or "tau" of h_map(W) at p = 1/2) of one sample_wishart
     matrix drawn from the replica's stream.
 
-    For the GOE kinds, and the Wishart kinds with gaussian entries and
-    d >= n (Bartlett), it is a harness.Batched whose stacked kernel draws
-    and scores whole blocks of replicas, with the values of the
-    single-matrix functions.
+    One scoring kernel per statistic scores a single matrix or a stack of
+    them.  For the GOE kinds, and the Wishart kinds with gaussian entries
+    and d >= n (Bartlett), the replica function is a harness.Batched whose
+    stacked kernel draws and scores whole blocks of replicas, with the
+    same values as one matrix at a time.
     """
-    score, stack_score = {
-        "tr3": (tr_cubed, _tr3),
-        "tau": (lambda w: signed_triangle_stat(h_map(w), 0.5),
-                lambda w: _tau(_signs(w), 0.5)),
-    }[stat]
+    score = {"tr3": _tr3, "tau": lambda w: _tau(_signs(w), 0.5)}[stat]
 
     def one(s):
-        return score(sample_wishart(n, d, entry_dist=entry_dist, kind=kind,
-                                    rng=s))
+        return float(score(sample_wishart(n, d, entry_dist=entry_dist,
+                                          kind=kind, rng=s)))
     bartlett = (kind in ("wishart", "wishart_scaled_nodiag")
                 and entry_dist == "gaussian" and d >= n)
     if not (entry_dist in ENTRY_DISTS and d >= 1 and _stack_fits(n)
             and (kind in ("goe_shifted", "goe_nodiag") or bartlett)):
         return one
-    return Batched(one, lambda gens: stack_score(
+    return Batched(one, lambda gens: score(
         _wishart_stack(n, d, entry_dist, kind, gens)), 8 * n * n)
 
 

@@ -21,6 +21,9 @@ import numpy as np
 
 _KEY_LIMIT = 1 << 64  # each Philox key word is an unsigned 64-bit integer
 
+# floor(sqrt(2^63 - 1)): up to it the int64 pair keys lo * n + hi never wrap
+_MAX_VERTICES = 3_037_000_499
+
 
 class ParseError(ValueError):
     """Malformed edge-list text; the message names the offending line."""
@@ -154,6 +157,8 @@ class Graph:
         self._freeze(adj.shape[0], adj, int(np.count_nonzero(adj)) // 2, None)
 
     def _freeze(self, n: int, adj: np.ndarray | None, m: int, edges) -> None:
+        if n > _MAX_VERTICES:
+            raise ValueError(f"n={n} is past the int64 pair-key limit {_MAX_VERTICES}")
         for arr in (adj, edges):
             if arr is not None:
                 arr.setflags(write=False)
@@ -345,23 +350,31 @@ class Tree(Graph):
 
 def bernoulli_positions(total: int, p: float, gen: np.random.Generator) -> np.ndarray:
     """Ascending Bernoulli(p) subset of range(total) via geometric skipping;
-    exactly i.i.d. inclusions without touching every slot."""
+    exactly i.i.d. inclusions without touching every slot.  total must be
+    below 2^63, the positions being int64."""
+    if total >= 1 << 63:
+        raise ValueError(f"cannot skip-sample {total} slots: the limit is 2^63 - 1")
     if p == 0.0 or total == 0:
         return np.empty(0, dtype=np.int64)
     if p == 1.0:
         return np.arange(total, dtype=np.int64)
     mean = total * p
-    positions = np.empty(0, dtype=np.int64)
+    parts = []
     last = -1
-    while True:
+    while last < total - 1:
         need = int((total * p - max(last, 0) * p) + 12 * math.sqrt(mean + 1) + 16)
-        gaps = gen.geometric(p, size=max(need, 16))
-        new = (np.cumsum(gaps) + last).astype(np.int64)
-        positions = np.concatenate([positions, new])
-        last = int(positions[-1])
-        if last >= total - 1:
+        # a gap of room or more ends the walk; clipped at room, the gaps
+        # cannot wrap the unsigned sums before the first one to reach it
+        room = np.uint64(total - last)
+        steps = gen.geometric(p, size=max(need, 16)).view(np.uint64)
+        np.cumsum(np.minimum(steps, room, out=steps), out=steps)
+        past = steps >= room
+        if past.any():
+            parts.append(steps[:past.argmax()].view(np.int64) + last)
             break
-    return positions[positions < total]
+        parts.append(steps.view(np.int64) + last)
+        last = int(parts[-1][-1])
+    return np.concatenate(parts)
 
 
 def bernoulli_pairs(k: int, p: float, gen: np.random.Generator) -> np.ndarray:
@@ -421,11 +434,10 @@ def bfs_order(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n m" + edge-lines text format (1-indexed, u < v)."""
+    """Parse the "n m" + edge-lines text format (1-indexed, u < v), checking
+    each line once, in order, and sorting the edge keys (u - 1) n + v - 1."""
     lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("line 1: expected header 'n m'")
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
     if len(header) != 2:
         raise ParseError("line 1: expected header 'n m'")
     try:
@@ -434,14 +446,13 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("line 1: header values must be integers") from None
     if n < 0 or m < 0:
         raise ParseError("line 1: n and m must be nonnegative")
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
+    if n > _MAX_VERTICES:
+        raise ParseError(f"line 1: n={n} is past the int64 pair-key limit {_MAX_VERTICES}")
+    keys: set[int] = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'")
         try:
@@ -452,13 +463,14 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: self-loop {u} {v}")
         if not (1 <= u < v <= n):
             raise ParseError(f"line {lineno}: edge {u} {v} violates 1 <= u < v <= n")
-        if (u, v) in seen:
+        key = (u - 1) * n + (v - 1)
+        if key in keys:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u - 1, v - 1))
-    if len(edges) != m:
-        raise ParseError(f"line {lineno}: header declares m={m} but found {len(edges)} edges")
-    return Graph.from_edges(n, edges)
+        keys.add(key)
+    if len(keys) != m:
+        raise ParseError(f"line {len(lines)}: header declares m={m} but found {len(keys)} edges")
+    key = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+    return Graph._from_sorted_edges(n, np.column_stack((key // n, key % n)))
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -237,6 +237,24 @@ def test_geom_gen_er_and_rgg(capsys, tmp_path):
     assert rec["result"]["d"] == 3
 
 
+def test_tiny_p_draws_no_wrapped_edges(capsys, tmp_path):
+    """Skip gaps of order 1/p past the int64 range end the walk instead of
+    wrapping into negative vertex ids."""
+    out = tmp_path / "g.txt"
+    rec = run_record(capsys, "geom", "gen", "--n", "1000", "--p", "1e-18",
+                     "--seed", "1", "--out", str(out))
+    assert rec["result"]["edges"] == 0
+    assert out.read_text() == "1000 0\n"
+    rec = run_record(capsys, "sbm", "gen", "--k", "2", "--a", "1e-15", "--b",
+                     "1e-15", "--regime", "linear", "--n", "1000", "--seed",
+                     "1", "--out", str(out))
+    assert rec["result"]["edges"] == parse_edge_list(out.read_text()).m
+    rec = run_record(capsys, "mc", "power", "--pair", "geom", "--stat", "t",
+                     "--n", "1000", "--p", "1e-18", "--d", "2", "--replicas",
+                     "100", "--seed", "1")
+    assert rec["result"]["mean_null"] == 0.0
+
+
 def test_geom_detect(capsys, tmp_path):
     csv = tmp_path / "tau.csv"
     argv = ("geom", "detect", "--n", "40", "--p", "0.5", "--d", "2",

@@ -42,7 +42,7 @@ from netinfer.geom import (
 )
 from netinfer.graphcore import (DenseSizeError, Graph, RngStream,
                                 SubstreamGenerators, Tree, _linear_to_pair,
-                                bernoulli_pairs)
+                                bernoulli_pairs, bernoulli_positions)
 from netinfer.harness import ks_distance, ks_distance_cdf, replicate
 
 # ------------------------------------------------------------- sphere
@@ -203,6 +203,30 @@ def test_sample_er_sparse_path_matches_law():
 def test_sample_er_sparse_p_one_is_complete():
     g = sample_er(4200, 1.0, RngStream(7, 2))
     assert g.m == 4200 * 4199 // 2
+
+
+@pytest.mark.parametrize("p", [1e-18, 1e-300])
+def test_skip_positions_stay_in_range_at_tiny_p(p):
+    """Gaps of order 1/p are past any int64 sum; the walk ends at the first
+    one that passes the last slot instead of wrapping."""
+    for total in (1, 1000, 10**9, 10**18, (1 << 63) - 1):
+        for seed in range(5):
+            pos = bernoulli_positions(total, p, np.random.default_rng(seed))
+            assert pos.dtype == np.int64
+            assert ((pos >= 0) & (pos < total)).all(), (total, seed, pos)
+
+
+def test_skip_positions_refuse_totals_past_int64():
+    with pytest.raises(ValueError, match="2\\^63 - 1"):
+        bernoulli_positions(1 << 63, 0.5, np.random.default_rng(0))
+
+
+def test_sample_er_at_tiny_p():
+    assert [sample_er(1000, 1e-18, RngStream(s)).m for s in range(5)] == [0] * 5
+    n = 10**9  # about 0.5 edges expected
+    for s in range(5):
+        e = sample_er(n, 1e-18, RngStream(s)).edges()
+        assert ((e >= 0) & (e < n)).all() and (e[:, 0] < e[:, 1]).all()
 
 
 def test_rgg_density_matches_p():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,11 +59,60 @@ def test_parse_tolerates_blank_lines_and_no_trailing_newline():
         ("3 2\n1 2\n1 2\n", "line 3: duplicate edge 1 2"),
         ("3 2\n1 2\n", "header declares m=2 but found 1 edges"),
         ("3 1\n1 2\n1 3\n", "header declares m=1 but found 2 edges"),
+        # the first faulty line wins, whatever fault a later line has
+        ("4 3\n1 2\n1 2\n3 3\n", "line 3: duplicate edge 1 2"),
+        ("4 1\n1 2\n1 2\n", "line 3: duplicate edge 1 2"),
+        ("   \n1 2\n", "line 1: expected header 'n m'"),
+        ("3037000500 0\n",
+         "line 1: n=3037000500 is past the int64 pair-key limit 3037000499"),
+        ("10000000000 1\n5000000001 9000000001\n",
+         "line 1: n=10000000000 is past the int64 pair-key limit 3037000499"),
     ],
 )
 def test_parse_errors(text, msg):
     with pytest.raises(ParseError, match=msg.replace("(", "\\(")):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "0 0"])
+def test_parse_vertexless_graph(text):
+    g = parse_edge_list(text)
+    assert (g.n, g.m, g.edges().shape) == (0, 0, (0, 2))
+
+
+def test_parse_shuffled_lines_with_blanks():
+    """Edge lines in any order, among blank and whitespace-only lines,
+    give the edge store that from_edges builds from the same pairs."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = rng.random(len(pairs)) < rng.random()
+        edges = [pairs[i] for i in np.flatnonzero(keep)]
+        g = Graph.from_edges(n, edges)
+        seps, blanks = [" ", "  ", "\t"], ["", " ", "\t", "  \t "]
+        body = [f"{u + 1}{seps[rng.integers(3)]}{v + 1}" for u, v in edges]
+        body += [blanks[rng.integers(4)] for _ in range(rng.integers(0, 6))]
+        rng.shuffle(body)
+        h = parse_edge_list("\n".join([f"{n} {len(edges)}", *body]))
+        assert (h.n, h.m) == (g.n, g.m)
+        assert h.edges().dtype == np.int64
+        assert np.array_equal(h.edges(), g.edges())
+
+
+def test_parse_memory_is_bounded():
+    """A 5 * 10^4-edge path file parses with under 12 MiB of Python
+    allocations: one integer key per edge, no tuples."""
+    n = 50_001
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == n - 1
+    assert peak < 12 << 20, peak
 
 
 def test_serialize_round_trip_is_identity():
@@ -286,6 +337,16 @@ def test_tree_is_its_parent_array():
     u = Tree.from_edges(5, [(2, 4), (3, 2), (0, 2), (1, 0)])
     assert u.parent.tolist() == [-1, 0, 0, 2, 2]
     assert not t.parent.flags.writeable
+
+
+def test_vertex_count_past_the_pair_key_limit_is_refused():
+    """Past floor(sqrt(2^63 - 1)) vertices the int64 pair keys would wrap,
+    so no store of that size is built."""
+    with pytest.raises(ValueError, match="n=10000000000 is past the int64 "
+                                         "pair-key limit 3037000499"):
+        Graph.from_edges(10**10, [(5 * 10**9, 9 * 10**9)])
+    g = Graph.from_edges(3_037_000_499, [(5, 3_037_000_498), (0, 7)])
+    assert g.edges().tolist() == [[0, 7], [5, 3_037_000_498]]
 
 
 def test_huge_edge_store_needs_no_dense_allocation():

@@ -109,6 +109,19 @@ def test_n_by_d_guard_exits_one_at_once(tmp_path):
     assert "GiB limit" in proc.stderr
 
 
+def test_vertex_count_past_int64_keys_exits_one_at_once(tmp_path):
+    """G(10^10, p) has more vertex pairs than an int64 position can hold,
+    so the skip sampler refuses it before drawing; the timeout turns a
+    missing guard into a failure instead of a hung run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "geom", "gen", "--n", "10000000000",
+         "--p", "1e-19", "--seed", "1", "--out", str(tmp_path / "g.txt")],
+        env=child_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "the limit is 2^63 - 1" in proc.stderr
+
+
 def test_wide_uniform_wishart_runs_in_little_memory():
     """A uniform-entry Wishart matrix at n = 32, d = 5 * 10^6 sums the Gram
     products of cache-sized column chunks, so no 1.3 GB entry matrix is
