@@ -448,7 +448,7 @@ def _bartlett_stack(n: int, d: int, gens) -> np.ndarray:
     check_dense(n, 8, "the Bartlett factor")
     normals = np.empty((len(gens), n * (n - 1) // 2))
     chi2 = np.empty((len(gens), n))
-    dof = d - np.arange(n)
+    dof = (d - np.arange(n)).astype(np.float64)
     for z, c, gen in zip(normals, chi2, gens):
         gen.standard_normal(out=z)
         c[...] = gen.chisquare(dof)
@@ -481,15 +481,18 @@ def _wishart_stack(n: int, d: int, entry_dist: str, kind: str,
     M = np.empty((len(gens), n, n))
     D = np.empty((len(gens), n))
     for flat, diag, gen in zip(M, D, gens):
-        flat[...] = _draw_entries(gen, (n, n), entry_dist)
+        _draw_entries(gen, flat, entry_dist)
         if kind == "goe_shifted":
-            diag[...] = _draw_entries(gen, (n,), entry_dist)
-    M = np.triu(M, 1)
-    M = M + M.swapaxes(-1, -2)
+            _draw_entries(gen, diag, entry_dist)
+    # zeroed, not masked by a product, which would leave -0.0 below negatives
+    np.copyto(M, 0.0, where=np.tri(n, dtype=bool))
+    M += M.swapaxes(-1, -2)
     if kind == "goe_nodiag":
         return M
     _diagonal(M)[...] = math.sqrt(2.0) * D
-    return math.sqrt(d) * M + d * np.eye(n)
+    M *= math.sqrt(d)
+    _diagonal(M)[...] += d
+    return M
 
 
 # A column chunk of the entry matrix Y in _entry_gram, or of its packed coins
@@ -515,8 +518,11 @@ def _entry_gram(n: int, d: int, entry_dist: str, gen, out: np.ndarray) -> None:
         _sign_gram(n, d, gen, out)
         return
     width = min(d, max(n, _CHUNK_BYTES // (8 * n)))
+    Y = np.empty((n, width))
     for start in range(0, d, width):
-        Y = _draw_entries(gen, (n, min(width, d - start)), entry_dist)
+        if d - start < width:  # a fill needs contiguous memory, not a slice
+            Y = np.empty((n, d - start))
+        _draw_entries(gen, Y, entry_dist)
         if start == 0:
             np.matmul(Y, Y.T, out=out)
         else:
@@ -631,15 +637,22 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...i", a)
 
 
-def _draw_entries(gen: np.random.Generator, shape, entry_dist: str) -> np.ndarray:
+def _draw_entries(gen: np.random.Generator, out: np.ndarray, entry_dist: str) -> None:
+    """Fill the C-contiguous float64 array out with i.i.d. entry_dist
+    entries, in C order.  Uniform-scaled entries are -sqrt(3) + 2 sqrt(3) u,
+    the two roundings of gen.uniform(-sqrt(3), sqrt(3)) on the same u."""
     if entry_dist == "gaussian":
-        return gen.standard_normal(shape)
-    if entry_dist == "uniform-scaled":
-        return gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
-    if entry_dist == "rademacher":
-        coins = _coins((gen,), math.prod(shape[:-1]), shape[-1])
-        return (2.0 * coins - 1.0).reshape(shape)
-    raise ValueError(f"entry_dist must be one of {ENTRY_DISTS}")
+        gen.standard_normal(out=out)
+    elif entry_dist == "uniform-scaled":
+        gen.random(out=out)
+        out *= 2.0 * math.sqrt(3.0)
+        out += -math.sqrt(3.0)
+    elif entry_dist == "rademacher":
+        coins = _coins((gen,), math.prod(out.shape[:-1]), out.shape[-1])
+        np.multiply(coins.reshape(out.shape), 2.0, out=out)
+        out -= 1.0
+    else:
+        raise ValueError(f"entry_dist must be one of {ENTRY_DISTS}")
 
 
 def _coins(gens, rows: int, cols: int) -> np.ndarray:

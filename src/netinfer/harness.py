@@ -112,7 +112,10 @@ def weighted_midpoint(m0: float, s0: float, m1: float, s1: float) -> float:
 
 def power_from_samples(null_vals: np.ndarray, alt_vals: np.ndarray) -> PowerReport:
     """PowerReport for precomputed statistic samples; the test rejects on
-    the alternative's side of the weighted midpoint."""
+    the alternative's side of the weighted midpoint.  When both arms are
+    constant it cuts halfway between their two values, which their means
+    may round away from, and rejects only strictly past the cut, so equal
+    constant arms never reject."""
     null_vals = _values(null_vals)
     alt_vals = _values(alt_vals)
     if null_vals.size != alt_vals.size or null_vals.size < 2:
@@ -120,13 +123,17 @@ def power_from_samples(null_vals: np.ndarray, alt_vals: np.ndarray) -> PowerRepo
     replicas = null_vals.size
     m0, m1 = float(null_vals.mean()), float(alt_vals.mean())
     s0, s1 = float(null_vals.std(ddof=1)), float(alt_vals.std(ddof=1))
-    thr = weighted_midpoint(m0, s0, m1, s1)
-    if m1 >= m0:
-        power = float((alt_vals >= thr).mean())
-        size = float((null_vals >= thr).mean())
+    constant = np.ptp(null_vals) == 0.0 and np.ptp(alt_vals) == 0.0
+    if constant:
+        thr = (null_vals[0] + alt_vals[0]) / 2.0
     else:
-        power = float((alt_vals <= thr).mean())
-        size = float((null_vals <= thr).mean())
+        thr = weighted_midpoint(m0, s0, m1, s1)
+    if m1 >= m0:
+        beyond = np.greater if constant else np.greater_equal
+    else:
+        beyond = np.less if constant else np.less_equal
+    power = float(beyond(alt_vals, thr).mean())
+    size = float(beyond(null_vals, thr).mean())
     return PowerReport(
         power=power, size=size, threshold=float(thr),
         power_se=binomial_se(power, replicas), size_se=binomial_se(size, replicas),

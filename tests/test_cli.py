@@ -255,6 +255,17 @@ def test_tiny_p_draws_no_wrapped_edges(capsys, tmp_path):
     assert rec["result"]["mean_null"] == 0.0
 
 
+def test_equal_constant_arms_never_reject(capsys):
+    """Every triangle count of both arms is 0 at p = 1e-18: a statistic
+    that carries no information reads as a test that never rejects."""
+    rec = run_record(capsys, "mc", "power", "--pair", "geom", "--stat", "t",
+                     "--n", "1000", "--p", "1e-18", "--d", "2", "--replicas",
+                     "100", "--seed", "1")
+    res = rec["result"]
+    assert res["mean_null"] == res["mean_alt"] == 0.0
+    assert res["size"] == res["power"] == 0.0
+
+
 def test_geom_detect(capsys, tmp_path):
     csv = tmp_path / "tau.csv"
     argv = ("geom", "detect", "--n", "40", "--p", "0.5", "--d", "2",

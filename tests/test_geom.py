@@ -622,6 +622,22 @@ def test_goe_shifted_diagonal_centered_at_d():
     assert_rel_close(diags.var(ddof=1), 2.0 * d, 0.1)
 
 
+@pytest.mark.parametrize("kind", ["goe_shifted", "goe_nodiag"])
+def test_goe_stack_holds_no_block_sized_temporaries(kind):
+    """A GOE block is drawn, symmetrized and shifted in place: besides the
+    block itself it holds at most the copy that numpy makes for the
+    overlapping M + M^T (a 64-replica block at n = 32)."""
+    gens = SubstreamGenerators(RngStream(23), 0, 64)
+    tracemalloc.start()
+    try:
+        W = _wishart_stack(32, 64, "gaussian", kind, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.shape == (64, 32, 32)
+    assert peak <= 2.5 * W.nbytes
+
+
 def test_entry_distributions():
     w = sample_wishart(80, 1, kind="goe_nodiag", entry_dist="rademacher",
                        rng=RngStream(21, 0))

@@ -419,6 +419,15 @@ def test_substream_generators_follow_the_substreams_in_order():
         _draws(rng.substream(i).generator()) for i in range(3, 9)]
 
 
+def test_substream_generators_at_the_top_of_the_key_range():
+    """Every key of a block ending at stream 2^64 - 1, under the largest
+    seed, passes the state setter's uint64 conversion unchanged."""
+    rng = RngStream(2**64 - 1, 2**64 - 7)
+    block = SubstreamGenerators(rng, 0, 6)
+    assert [_draws(g) for g in block] == [
+        _draws(rng.substream(i).generator()) for i in range(6)]
+
+
 def test_rng_stream_is_frozen():
     s = RngStream(1, 2)
     with pytest.raises((AttributeError, TypeError)):

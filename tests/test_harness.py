@@ -273,3 +273,16 @@ def test_power_from_samples_validation():
         power_from_samples(np.zeros(5), np.zeros(4))
     with pytest.raises(ValueError, match="equal sample counts"):
         power_from_samples(np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("null_value,alt_value,power", [
+    (0.0, 0.0, 0.0), (-2.5, -2.5, 0.0), (0.1, 0.1, 0.0), (1 / 3, 1 / 3, 0.0),
+    (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (0.1, 0.3, 1.0), (0.3, 0.1, 1.0)])
+def test_power_from_constant_arms(null_value, alt_value, power):
+    """Constant arms reject only strictly past the midpoint of their two
+    values: equal ones never reject, distinct ones always separate,
+    whichever lies above.  The mean of 50 copies of 0.1 or 1/3 rounds off
+    the value, and so its spread is not 0."""
+    rep = power_from_samples(np.full(50, null_value), np.full(50, alt_value))
+    assert rep.threshold == (null_value + alt_value) / 2.0
+    assert (rep.power, rep.size) == (power, 0.0)
