@@ -4,8 +4,8 @@ GOE ensembles, and dimension estimation.
 The detection statistic throughout is the signed triangle count
 tau(G) = sum over triples of (A_ij - p)(A_ik - p)(A_jk - p); geometry
 inflates its mean by order n^3/sqrt(d) while the null keeps mean 0.  It is
-computed from the triangle count, the degrees and the edge count, so it
-needs no n x n array on the edge store.
+computed from the triangle count, the degrees and the edge count, so a
+sparse graph needs no n x n array for it.
 
 Gaussian Wishart matrices W(n, d) with d >= n, and the Gram matrices of
 dense sphere graphs with d >= n, are drawn through the Bartlett
@@ -20,16 +20,16 @@ a Rademacher Gram matrix is counted from the packed bits of its rows,
 W_ij = d - 2 popcount(y_i xor y_j), a cache-sized chunk of words at a
 time.
 
-Random graphs take the dense store only when graphcore.prefers_dense says
-it pays for the expected edge count; otherwise G(n, p) is drawn by
+Random graphs are drawn as matrices only when graphcore.prefers_dense
+says they pay for the expected edge count; otherwise G(n, p) is drawn by
 geometric skipping over the pairs and G(n, p, d) from sorted angles
-(d = 2) or row-chunked Gram products.  Where few pairs lie within a
-proven rounding margin of the threshold, as at moderate d, those
-products are float32 and only screen the pairs; the pairs inside the
-margin are decided in float64, so the edge rule is the float64 one up to
-its summation order.  Otherwise the products are float64.  On
-the edge store the triangle count multiplies the strict upper triangle,
-whose compressed rows are the sorted edge array.
+(d = 2) or row-chunked Gram products, as int64 edge keys lo * n + hi.
+Where few pairs lie within a proven rounding margin of the threshold,
+those products are float32 and only screen the pairs; the pairs inside
+the margin are decided in float64, so the edge rule is the float64 one up
+to its summation order.  Otherwise they are float64.  Past the same rule
+the triangle count multiplies the strict upper triangle, whose
+compressed rows are the sorted edge array.
 
 Monte Carlo replicas come from graph_replica and matrix_replica.  Where
 the graph or matrix is dense these are harness.Batched: a stacked kernel
@@ -55,7 +55,7 @@ import scipy.sparse as _sparse
 from scipy.special import betainc, betaincinv
 
 from .graphcore import (DENSE_BYTES_LIMIT, Graph, RngStream, bernoulli_pairs,
-                        check_dense, prefers_dense)
+                        check_dense, pair_keys, prefers_dense)
 from .harness import Batched, PowerReport, power_from_samples, two_arm
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
@@ -121,13 +121,13 @@ def rgg_from_points(coords: np.ndarray, p: float) -> Graph:
         return Graph._trusted(_dense_rgg(coords @ coords.T, t))
     if d == 2 and t > 0.0:
         return _rgg_circle(coords, t)
-    return Graph._from_sorted_edges(n, _edges_by_chunks(coords, t))
+    return Graph._from_keys(n, _edges_by_chunks(coords, t))
 
 
 def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
     """Random geometric graph G(n, p, d).
 
-    For n <= d, when the dense store pays (prefers_dense), the Gram matrix
+    For n <= d, when a matrix pays (prefers_dense), the Gram matrix
     of the sphere points is drawn as W_ij / sqrt(W_ii W_jj) with
     W = W(n, d) from the Bartlett decomposition; otherwise the points are
     drawn.
@@ -139,8 +139,8 @@ def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
 
 def sample_er(n: int, p: float, rng: RngStream) -> Graph:
     """Erdos-Renyi G(n, p) with i.i.d. Bernoulli(p) edges: a dense mask
-    when the dense store pays (prefers_dense), geometric skipping over the
-    pairs otherwise."""
+    when a matrix pays (prefers_dense), geometric skipping over the pairs
+    otherwise."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
@@ -149,14 +149,14 @@ def sample_er(n: int, p: float, rng: RngStream) -> Graph:
     if prefers_dense(n, p * n * (n - 1) / 2):
         check_dense(n, 8, "G(n, p)")
         return Graph._trusted(_er_stack(n, p, (gen,))[0])
-    return Graph._from_sorted_edges(n, bernoulli_pairs(n, p, gen))
+    return Graph._from_keys(n, bernoulli_pairs(n, p, gen))
 
 
 def triangle_count(g: Graph) -> int:
     """Number of triangles T(G) = Tr(A^3)/6.
 
-    A dense matrix product when the dense store pays for the graph's edge
-    count (prefers_dense).  Otherwise sparse products of the strict upper
+    A dense matrix product when a matrix pays for the graph's edge count
+    (prefers_dense).  Otherwise sparse products of the strict upper
     triangle U of A, whose compressed rows are the sorted edge array
     itself: T = sum((U U) o U) counts each triangle i < k < j once, at
     its edge (i, j).
@@ -182,11 +182,11 @@ def signed_triangle_stat(g: Graph, p: float) -> float:
         Tr(B^3) = 6T - 3p(S2 - 2m) + 6p^2 (n-2) m - p^3 n(n-1)(n-2),
 
     so tau comes from the triangle count T, the degrees and the edge count.
-    Where the dense store pays for the graph's edge count (prefers_dense),
+    Where a matrix pays for the graph's edge count (prefers_dense),
     T and the degrees come from one float32 product, the stacked kernel
     run on a block of one.  Otherwise T comes from triangle_count's sparse
-    products and the degrees from the compressed rows, so an edge-built
-    graph needs no n x n array.
+    products and the degrees from the compressed rows, so a sparse graph
+    needs no n x n array.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
@@ -268,7 +268,7 @@ def graph_replica(n: int, p: float, stat: str,
     "t", the triangle count) of one G(n, p), or of one G(n, p, d) when d
     is given, drawn from the replica's stream.
 
-    Where the graph takes the dense store it is a harness.Batched whose
+    Where the graph is drawn as a matrix it is a harness.Batched whose
     stacked kernel draws and scores whole blocks of replicas, with the
     values of the single-graph functions.
     """
@@ -685,12 +685,12 @@ def _rgg_circle(coords: np.ndarray, t: float) -> Graph:
     seg_starts = np.repeat(starts, lens)
     seg_offset = np.arange(i_flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
     j_flat = (seg_starts + seg_offset) % n
-    return Graph._from_pairs(n, order[i_flat], order[j_flat])
+    return Graph._from_keys(n, pair_keys(n, order[i_flat], order[j_flat]))
 
 
 def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
-    """Sorted (m, 2) int64 edge array of the geometric graph on the rows
-    x_i of coords: the pairs i < j whose float64 inner product is >= t.
+    """Ascending int64 keys i * n + j of the geometric graph on the rows x_i
+    of coords: its edges are the pairs i < j of float64 inner product >= t.
 
     Rows are taken in chunks of about 2e6 Gram entries; a chunk is
     multiplied only with the columns from its first row on, so the
@@ -740,7 +740,7 @@ def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
         x32 = coords.astype(np.float32)
     chunk = max(1, 2_000_000 // n)
     batch = max(1, 2 ** 22 // (16 * d))
-    edges = []
+    keys = []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         if x32 is not None:
@@ -755,13 +755,13 @@ def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
                     k = near[b:b + batch]
                     keep[k] = np.einsum("ij,ij->i", coords[rows[k]],
                                         coords[cols[k]]) >= t
-                edges.append(np.column_stack((rows[keep], cols[keep])))
+                keys.append(rows[keep] * n + cols[keep])
                 continue
             x32 = None
         _, rows, cols = _upper_pairs(coords[start:stop] @ coords[start:].T >= t,
                                      start)
-        edges.append(np.column_stack((rows, cols)))
-    return np.concatenate(edges)
+        keys.append(rows * n + cols)
+    return np.concatenate(keys)
 
 
 def _upper_pairs(mask: np.ndarray, start: int):

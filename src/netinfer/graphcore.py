@@ -1,9 +1,10 @@
 """Graph containers, reproducible random streams, and edge-list text I/O.
 
-A graph is stored either as a dense boolean matrix or as its sorted edge
-list; prefers_dense is the rule that picks one from the expected edge
-count, and check_dense refuses any n x n or n x d array past
-DENSE_BYTES_LIMIT.  A tree is stored as its parent array; random edge
+A graph is stored as its sorted (m, 2) int64 edge array, built by one
+sort of the int64 keys lo * n + hi of its edges (Graph._from_keys).
+prefers_dense is the rule that picks matrix kernels over edge-list ones
+from the expected edge count, and check_dense refuses any n x n or n x d
+array past DENSE_BYTES_LIMIT.  A tree is stored as its parent array; random edge
 sets are skip-sampled over the candidate pairs (bernoulli_pairs).
 
 Vertices are 0-indexed in memory and 1-indexed in files; the parser and
@@ -105,9 +106,10 @@ class SubstreamGenerators:
 # the caller gets DenseSizeError at once instead of an out-of-memory kill.
 DENSE_BYTES_LIMIT = 1 << 30
 
-# A sampler builds the dense store (n^2 bytes) only when it costs at most this
-# many bytes per expected edge.  The edge store costs 16 B/edge, and 16 more
-# once the compressed sparse rows are built.
+# Samplers and triangle statistics take whole n x n boolean matrices (n^2
+# bytes) only when these cost at most this many bytes per expected edge.
+# The edge store costs 16 B/edge, and 16 more once the compressed sparse
+# rows are built.
 DENSE_BYTES_PER_EDGE = 64
 
 
@@ -128,45 +130,39 @@ def check_dense(n: int, itemsize: int, what: str, cols: int | None = None) -> No
 
 
 def prefers_dense(n: int, expected_edges: float) -> bool:
-    """The store rule: a matrix when n^2 bytes cost at most
-    DENSE_BYTES_PER_EDGE per expected edge, an edge list otherwise."""
+    """The kernel rule: draw and count on an n x n matrix when its n^2 bytes
+    cost at most DENSE_BYTES_PER_EDGE per expected edge, on the edge list
+    otherwise.  It picks a sampler or a statistic, never a store."""
     return n * n <= DENSE_BYTES_PER_EDGE * expected_edges
 
 
 class Graph:
-    """Undirected simple graph in one of two stores, frozen after construction.
+    """Undirected simple graph, frozen after construction.
 
-    A dense graph holds its symmetric, zero-diagonal boolean matrix ``adj``;
-    the dense samplers build these at desk scale, where whole-matrix
-    products beat adjacency lists.  An edge-built graph holds only its
-    sorted (m, 2) edge array and ``adj`` is None, so its memory and time
-    grow with the number of edges.  Degrees and neighbours of either store
-    come from compressed sparse rows built from the edges on first use;
-    ``to_dense()`` gives the matrix of either.
+    It holds only its sorted (m, 2) int64 edge array, so its memory and time
+    grow with the number of edges, whichever sampler drew it.  Degrees and
+    neighbours come from compressed sparse rows built from the edges on
+    first use; ``to_dense()`` builds the boolean matrix when asked.
     """
 
-    __slots__ = ("adj", "m", "_n", "_edges", "_csr")
+    __slots__ = ("m", "_n", "_edges", "_csr")
 
     def __init__(self, adj: np.ndarray):
-        adj = np.asarray(adj)
+        adj = np.asarray(adj).astype(bool, copy=False)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if adj.dtype != np.bool_:
-            adj = adj.astype(bool)
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
-        self._freeze(adj.shape[0], adj, int(np.count_nonzero(adj)) // 2, None)
+        n = adj.shape[0]
+        self._freeze(n, _key_edges(n, np.flatnonzero(np.triu(adj, 1))))
 
-    def _freeze(self, n: int, adj: np.ndarray | None, m: int, edges) -> None:
+    def _freeze(self, n: int, edges: np.ndarray | None, m: int | None = None) -> None:
         if n > _MAX_VERTICES:
             raise ValueError(f"n={n} is past the int64 pair-key limit {_MAX_VERTICES}")
-        for arr in (adj, edges):
-            if arr is not None:
-                arr.setflags(write=False)
+        m = m if edges is None else len(edges)
         object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_csr", None)
@@ -176,31 +172,21 @@ class Graph:
 
     @classmethod
     def _trusted(cls, adj: np.ndarray) -> "Graph":
-        """Wrap an adjacency already known to be boolean, symmetric, and
+        """Graph of an adjacency already known to be boolean, symmetric, and
         zero-diagonal (samplers build these by construction)."""
-        g = cls.__new__(cls)
-        g._freeze(adj.shape[0], adj, int(np.count_nonzero(adj)) // 2, None)
-        return g
+        return cls._from_keys(adj.shape[0], np.flatnonzero(np.triu(adj, 1)))
 
     @classmethod
-    def _from_sorted_edges(cls, n: int, edges: np.ndarray) -> "Graph":
-        """Wrap an int64 (m, 2) edge array already known to be valid, with
-        u < v in every row and rows lexicographically sorted."""
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """Graph of the int64 keys lo * n + hi of distinct pairs lo < hi < n,
+        in any order.  The keys are sorted in place."""
         g = cls.__new__(cls)
-        g._freeze(n, None, edges.shape[0], edges)
+        g._freeze(n, _key_edges(n, keys))
         return g
-
-    @classmethod
-    def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Edge-built graph from int64 arrays of pairs (u[k], v[k]) already
-        known to be distinct, in range and with u != v, in any order or
-        orientation; they are sorted once."""
-        return Graph._from_sorted_edges(
-            n, _sorted_pairs(n, np.minimum(u, v), np.maximum(u, v)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Edge-built graph from 0-indexed (u, v) pairs in any order."""
+        """Graph of 0-indexed (u, v) pairs in any order."""
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -212,8 +198,10 @@ class Graph:
                 raise ValueError("self-loops are not allowed")
             if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
                 raise ValueError("edge endpoint out of range")
-        g = Graph._from_pairs(n, u, v)
-        if (np.diff(g.edges(), axis=0) == 0).all(axis=1).any():
+        keys = pair_keys(n, u, v)
+        g = Graph._from_keys(n, keys)
+        # a duplicate edge leaves two equal keys side by side
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edges are not allowed")
         return g
 
@@ -237,34 +225,32 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
-        if self._edges is None:
-            u, v = np.nonzero(np.triu(self.adj, 1))
-            edges = np.column_stack((u, v))
-            edges.setflags(write=False)
-            object.__setattr__(self, "_edges", edges)
         return self._edges
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Compressed sparse rows (indptr, indices), built on first use: the
         neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]]."""
         if self._csr is None:
-            e = self.edges()
-            rows = np.concatenate((e[:, 1], e[:, 0]))
-            cols = np.concatenate((e[:, 0], e[:, 1]))
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-            # the keys row * n + col sort by row, then by neighbour
-            indices = np.sort(rows * self.n + cols) % self.n
+            n, m, e = self.n, self.m, self.edges()
+            lo, hi = e[:, 0], e[:, 1]
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
+            # the keys row * n + col of both orientations sort by row, then
+            # by neighbour
+            indices = np.empty(2 * m, dtype=np.int64)
+            np.multiply(lo, n, out=indices[:m])
+            indices[:m] += hi
+            np.multiply(hi, n, out=indices[m:])
+            indices[m:] += lo
+            indices.sort()
+            np.remainder(indices, n, out=indices)
             indptr.setflags(write=False)
             indices.setflags(write=False)
             object.__setattr__(self, "_csr", (indptr, indices))
         return self._csr
 
     def to_dense(self) -> np.ndarray:
-        """The read-only n x n boolean adjacency matrix.  An edge-built
-        graph allocates a new one on every call, after check_dense."""
-        if self.adj is not None:
-            return self.adj
+        """A new read-only n x n boolean adjacency matrix, after check_dense."""
         check_dense(self.n, 1, "the adjacency matrix")
         adj = np.zeros((self.n, self.n), dtype=bool)
         e = self.edges()
@@ -304,7 +290,7 @@ class Tree(Graph):
         self._set_parent(parent)
 
     def _set_parent(self, parent: np.ndarray) -> None:
-        self._freeze(len(parent), None, len(parent) - 1, None)
+        self._freeze(len(parent), None, len(parent) - 1)
         parent.setflags(write=False)
         object.__setattr__(self, "parent", parent)
 
@@ -342,12 +328,8 @@ class Tree(Graph):
 
     def edges(self) -> np.ndarray:
         if self._edges is None:
-            child = np.arange(1, self.n)
-            up = self.parent[1:]
-            edges = _sorted_pairs(self.n, np.minimum(up, child),
-                                  np.maximum(up, child))
-            edges.setflags(write=False)
-            object.__setattr__(self, "_edges", edges)
+            keys = pair_keys(self.n, self.parent[1:], np.arange(1, self.n))
+            object.__setattr__(self, "_edges", _key_edges(self.n, keys))
         return self._edges
 
 
@@ -381,14 +363,15 @@ def bernoulli_positions(total: int, p: float, gen: np.random.Generator) -> np.nd
 
 
 def bernoulli_pairs(k: int, p: float, gen: np.random.Generator) -> np.ndarray:
-    """Bernoulli(p) subset of the C(k, 2) pairs (i < j) of k vertices, as an
-    (m, 2) int64 array in lexicographic order."""
+    """Bernoulli(p) subset of the C(k, 2) pairs (i < j) of k vertices, as
+    their ascending int64 keys i * k + j."""
     return _linear_to_pair(bernoulli_positions(k * (k - 1) // 2, p, gen), k)
 
 
 def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:
-    """Invert the row-major upper-triangle enumeration of pairs (i < j),
-    where pair (i, j) has index i*n - i(i+1)/2 + (j - i - 1)."""
+    """Keys i * n + j of the pairs (i < j) at the given indices of their
+    row-major enumeration, where pair (i, j) has index
+    i*n - i(i+1)/2 + (j - i - 1)."""
 
     def row_start(i):
         return i * n - i * (i + 1) // 2
@@ -401,15 +384,28 @@ def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:
     i[too_far] -= 1
     too_near = k >= row_start(i + 1)
     i[too_near] += 1
-    j = k - row_start(i) + i + 1
-    return np.column_stack([i, j])
+    return i * n + (k - row_start(i) + i + 1)
 
 
-def _sorted_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(m, 2) int64 array of the pairs (lo, hi), lo < hi < n, in
-    lexicographic order."""
-    key = np.sort(lo.astype(np.int64) * n + hi)
-    return np.column_stack((key // n, key % n))
+def pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Keys lo * n + hi of the unordered pairs {u[k], v[k]} given as int64
+    arrays of vertices below n."""
+    # lo * n + hi = lo * (n - 1) + u + v, in place: no array for hi
+    keys = np.minimum(u, v)
+    keys *= n - 1
+    keys += u
+    keys += v
+    return keys
+
+
+def _key_edges(n: int, keys: np.ndarray) -> np.ndarray:
+    """Sort the int64 keys lo * n + hi in place and split them into a
+    read-only (m, 2) edge array (lo, hi) in lexicographic order."""
+    keys.sort()
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    edges.setflags(write=False)
+    return edges
 
 
 def bfs_order(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
@@ -472,8 +468,7 @@ def parse_edge_list(text: str) -> Graph:
         keys.add(key)
     if len(keys) != m:
         raise ParseError(f"line {len(lines)}: header declares m={m} but found {len(keys)} edges")
-    key = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
-    return Graph._from_sorted_edges(n, np.column_stack((key // n, key % n)))
+    return Graph._from_keys(n, np.fromiter(keys, dtype=np.int64, count=len(keys)))
 
 
 def serialize_edge_list(g: Graph) -> str:

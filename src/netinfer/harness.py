@@ -112,10 +112,12 @@ def weighted_midpoint(m0: float, s0: float, m1: float, s1: float) -> float:
 
 def power_from_samples(null_vals: np.ndarray, alt_vals: np.ndarray) -> PowerReport:
     """PowerReport for precomputed statistic samples; the test rejects on
-    the alternative's side of the weighted midpoint.  When both arms are
-    constant it cuts halfway between their two values, which their means
-    may round away from, and rejects only strictly past the cut, so equal
-    constant arms never reject."""
+    the alternative's side of the weighted midpoint.  A constant arm owns
+    its value: with one constant arm the cut lies on that value, with two
+    it lies halfway between them (which their means may round away from),
+    and a cut on a constant null's value rejects only strictly past it.
+    So a constant null is never rejected, nor are equal constant arms,
+    while a constant alternative is always rejected."""
     null_vals = _values(null_vals)
     alt_vals = _values(alt_vals)
     if null_vals.size != alt_vals.size or null_vals.size < 2:
@@ -123,15 +125,13 @@ def power_from_samples(null_vals: np.ndarray, alt_vals: np.ndarray) -> PowerRepo
     replicas = null_vals.size
     m0, m1 = float(null_vals.mean()), float(alt_vals.mean())
     s0, s1 = float(null_vals.std(ddof=1)), float(alt_vals.std(ddof=1))
-    constant = np.ptp(null_vals) == 0.0 and np.ptp(alt_vals) == 0.0
-    if constant:
-        thr = (null_vals[0] + alt_vals[0]) / 2.0
-    else:
-        thr = weighted_midpoint(m0, s0, m1, s1)
+    constants = [v[0] for v in (null_vals, alt_vals) if np.ptp(v) == 0.0]
+    thr = np.mean(constants) if constants else weighted_midpoint(m0, s0, m1, s1)
+    strict = np.ptp(null_vals) == 0.0 and thr == null_vals[0]
     if m1 >= m0:
-        beyond = np.greater if constant else np.greater_equal
+        beyond = np.greater if strict else np.greater_equal
     else:
-        beyond = np.less if constant else np.less_equal
+        beyond = np.less if strict else np.less_equal
     power = float(beyond(alt_vals, thr).mean())
     size = float(beyond(null_vals, thr).mean())
     return PowerReport(

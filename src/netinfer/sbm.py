@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
-from .graphcore import Graph, RngStream, bernoulli_pairs, bernoulli_positions
+from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
+                        pair_keys)
 
 REGIMES = ("constant", "logarithmic", "linear")
 
@@ -133,23 +134,25 @@ class SolvabilityResult:
 def sample_sbm(n: int, params: SbmParams, rng: RngStream) -> LabeledGraph:
     """Draw labels i.i.d. from the prior and edges as independent Bernoullis.
 
-    Each block pair's vertex pairs are sampled by geometric skipping, so
-    the cost grows with the number of edges, not with n^2.
+    Each block pair's vertex pairs are sampled by geometric skipping into
+    int64 keys lo * n + hi, sorted once, so the cost grows with the number
+    of edges, not with n^2.
     """
     probs = params.edge_probabilities(n)
     gen = rng.generator()
     labels = gen.choice(params.k, size=n, p=params.p)
     members = [np.nonzero(labels == a)[0] for a in range(params.k)]
-    parts = []
+    keys = []
     for a, ma in enumerate(members):
-        parts.append(ma[bernoulli_pairs(ma.size, probs[a, a], gen)])
+        i, j = np.divmod(bernoulli_pairs(ma.size, probs[a, a], gen), ma.size)
+        keys.append(pair_keys(n, ma[i], ma[j]))
         for b in range(a + 1, params.k):
             mb = members[b]
             pos = bernoulli_positions(ma.size * mb.size, probs[a, b], gen)
-            parts.append(np.column_stack((ma[pos // mb.size], mb[pos % mb.size])))
-    pairs = np.concatenate(parts)
-    return LabeledGraph(graph=Graph._from_pairs(n, pairs[:, 0], pairs[:, 1]),
-                        labels=labels)
+            i, j = np.divmod(pos, mb.size)
+            keys.append(pair_keys(n, ma[i], mb[j]))
+    keys = np.concatenate(keys)
+    return LabeledGraph(graph=Graph._from_keys(n, keys), labels=labels)
 
 
 def community_profiles(params: SbmParams) -> list[np.ndarray]:
@@ -431,7 +434,7 @@ def genie_recover(lg: LabeledGraph, params: SbmParams, corruption: float,
     rate, then run synchronous rounds that re-classify every vertex by the
     MAP rule on its degree profile measured against the previous round's
     labels, with Poisson means ln(n) (PQ)_j. A round counts all neighbours
-    by label with one bincount over the sparse rows, as degree_profile does.
+    by label with two bincounts over the edge array, one per endpoint.
     """
     _require_logarithmic(params)
     if not 0.0 <= corruption < 0.5:
@@ -448,10 +451,10 @@ def genie_recover(lg: LabeledGraph, params: SbmParams, corruption: float,
         offset = gen.integers(1, k, size=n)
         labels[flip] = (labels[flip] + offset[flip]) % k
     L = math.log(n) * np.column_stack(community_profiles(params)).T
-    indptr, indices = lg.graph.csr()
-    rows = np.repeat(np.arange(n) * k, np.diff(indptr))
+    lo, hi = lg.graph.edges().T
     for _ in range(rounds):
-        dmat = np.bincount(rows + labels[indices], minlength=n * k)
+        dmat = np.bincount(lo * k + labels[hi], minlength=n * k)
+        dmat += np.bincount(hi * k + labels[lo], minlength=n * k)
         labels = np.argmax(_map_scores(dmat.reshape(n, k), L, params.p), axis=1)
     return labels
 

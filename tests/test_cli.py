@@ -266,6 +266,18 @@ def test_equal_constant_arms_never_reject(capsys):
     assert res["size"] == res["power"] == 0.0
 
 
+def test_constant_null_rejects_only_past_its_value(capsys):
+    """At p = 0.005 every null triangle count is 0 and 6 of 100 alternative
+    counts are not: the cut lies on the null's value, so no null replica
+    and only those 6 alternative ones are rejected."""
+    rec = run_record(capsys, "mc", "power", "--pair", "geom", "--stat", "t",
+                     "--n", "30", "--p", "0.005", "--d", "2", "--replicas",
+                     "100", "--seed", "1")
+    res = rec["result"]
+    assert (res["threshold"], res["sd_null"], res["mean_alt"]) == (0.0, 0.0, 0.06)
+    assert (res["size"], res["power"]) == (0.0, 0.06)
+
+
 def test_geom_detect(capsys, tmp_path):
     csv = tmp_path / "tau.csv"
     argv = ("geom", "detect", "--n", "40", "--p", "0.5", "--d", "2",

@@ -42,7 +42,8 @@ from netinfer.geom import (
 )
 from netinfer.graphcore import (DenseSizeError, Graph, RngStream,
                                 SubstreamGenerators, Tree, _linear_to_pair,
-                                bernoulli_pairs, bernoulli_positions)
+                                bernoulli_pairs, bernoulli_positions,
+                                prefers_dense)
 from netinfer.harness import ks_distance, ks_distance_cdf, replicate
 
 # ------------------------------------------------------------- sphere
@@ -188,7 +189,7 @@ def test_sample_er_edge_count():
 def test_sample_er_deterministic():
     a = sample_er(100, 0.2, RngStream(6, 3))
     b = sample_er(100, 0.2, RngStream(6, 3))
-    assert (a.adj == b.adj).all()
+    assert (a.to_dense() == b.to_dense()).all()
 
 
 def test_sample_er_sparse_path_matches_law():
@@ -239,7 +240,7 @@ def test_rgg_density_matches_p():
 def test_rgg_deterministic():
     a = sample_rgg(64, 0.4, 3, RngStream(9, 5))
     b = sample_rgg(64, 0.4, 3, RngStream(9, 5))
-    assert (a.adj == b.adj).all()
+    assert (a.to_dense() == b.to_dense()).all()
 
 
 def test_rgg_near_one_p_is_nearly_complete():
@@ -253,7 +254,7 @@ def test_rgg_circle_path_matches_dense_rule():
     t = threshold(0.3, 2)
     gram = pts @ pts.T
     adj = np.triu(gram >= t, 1)
-    assert (g.adj == (adj | adj.T)).all()
+    assert (g.to_dense() == (adj | adj.T)).all()
 
 
 def test_rgg_circle_helper_direct():
@@ -277,8 +278,21 @@ def test_rgg_circle_edges_are_what_from_edges_builds(n, p, seed):
     assert (g.m == 0) == (n == 5)
 
 
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    """The calls made to geom._edges_by_chunks while the test runs."""
+    calls = []
+    chunked = geom._edges_by_chunks
+
+    def spy(*args):
+        calls.append(args)
+        return chunked(*args)
+    monkeypatch.setattr(geom, "_edges_by_chunks", spy)
+    return calls
+
+
 @pytest.mark.parametrize("d", [3, 513, 4096])
-def test_screened_gram_gives_the_float64_edges(d):
+def test_screened_gram_gives_the_float64_edges(d, chunk_calls):
     """At n = 3000 (five row chunks) the float32-screened Gram products
     give exactly the edges of the float64 Gram rule.  Beside the float32
     points they hold one chunk and at most 4 MiB of gathered rows (about
@@ -292,13 +306,13 @@ def test_screened_gram_gives_the_float64_edges(d):
     finally:
         tracemalloc.stop()
     assert peak <= pts.nbytes / 2 + 16 * 2 ** 20
-    assert g.adj is None
+    assert len(chunk_calls) == 1
     u, v = np.nonzero(np.triu(pts @ pts.T >= threshold(p, d), 1))
     np.testing.assert_array_equal(g.edges(), np.column_stack((u, v)))
 
 
 @pytest.mark.parametrize("pad", [0, 92], ids=["wide-margin", "screened"])
-def test_screened_gram_decides_the_margin_in_float64(pad):
+def test_screened_gram_decides_the_margin_in_float64(pad, chunk_calls):
     """Inner products within the float32 margin delta of t: those in
     (t - delta, t) give no edge, those in [t, t + delta) give one.  With
     8 rows the 7 pairs in the margin are more than 1/512 of the 64 Gram
@@ -318,10 +332,10 @@ def test_screened_gram_decides_the_margin_in_float64(pad):
     for a, c in enumerate(below + above, start=1):
         X[a, 0], X[a, a] = c, math.sqrt(1.0 - c * c)
     g = rgg_from_points(X, p)
-    assert g.adj is None
+    assert len(chunk_calls) == 1
     assert g.edges().tolist() == [[0, a] for a in range(len(below) + 1,
                                                         len(X) - pad)]
-    assert (g.to_dense() == Graph(_dense_rgg(X @ X.T, t)).adj).all()
+    assert (g.to_dense() == _dense_rgg(X @ X.T, t)).all()
 
 
 def test_screened_gram_without_edges():
@@ -344,7 +358,7 @@ def test_screened_gram_memory_peak():
 
 
 @pytest.mark.parametrize("p", [0.02, 0.002])
-def test_gram_at_large_dimension_stays_in_float64(p):
+def test_gram_at_large_dimension_stays_in_float64(p, chunk_calls):
     """At n = 200 and d = 20000 the margin 2(d + 2) 2^-24 is a third of
     the spread 1/sqrt(d) of the inner products, so the products stay
     float64: the edges are those of the float64 Gram rule, with no float32
@@ -357,7 +371,7 @@ def test_gram_at_large_dimension_stays_in_float64(p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.adj is None
+    assert len(chunk_calls) == 1
     u, v = np.nonzero(np.triu(pts @ pts.T >= threshold(p, d), 1))
     np.testing.assert_array_equal(g.edges(), np.column_stack((u, v)))
     assert peak <= pts.nbytes / 16
@@ -366,24 +380,25 @@ def test_gram_at_large_dimension_stays_in_float64(p):
 def test_linear_to_pair_exhaustive():
     for n in (2, 3, 5, 17):
         k = np.arange(n * (n - 1) // 2)
-        expect = list(itertools.combinations(range(n), 2))
-        assert [tuple(r) for r in _linear_to_pair(k, n)] == expect
+        expect = [i * n + j for i, j in itertools.combinations(range(n), 2)]
+        assert _linear_to_pair(k, n).tolist() == expect
 
 
 # ---------------------------------------------------------- triangles
 
 
 def _count_cubic(g: Graph) -> int:
+    adj = g.to_dense()
     total = 0
     for i, j, k in itertools.combinations(range(g.n), 3):
-        if g.adj[i, j] and g.adj[j, k] and g.adj[i, k]:
+        if adj[i, j] and adj[j, k] and adj[i, k]:
             total += 1
     return total
 
 
 def _count_popcount(g: Graph) -> int:
     rows = [int("".join("1" if b else "0" for b in row[::-1]), 2) if row.any() else 0
-            for row in g.adj]
+            for row in g.to_dense()]
     total = 0
     for u, v in g.edges():
         total += (rows[u] & rows[v]).bit_count()
@@ -440,7 +455,7 @@ def _dense_triangles_and_rows(adj: np.ndarray):
         "rgg-d3-1e4"])
 def test_edge_store_triangles_and_rows_match_dense_oracle(build):
     g = build()
-    assert g.adj is None
+    assert not prefers_dense(g.n, g.m)  # the sparse triangle count runs
     triangles, indptr, indices = _dense_triangles_and_rows(g.to_dense())
     assert triangle_count(g) == triangles
     np.testing.assert_array_equal(g.csr()[0], indptr)
@@ -462,7 +477,7 @@ def test_signed_triangle_permutation_invariant():
     rng = np.random.default_rng(15)
     for _ in range(20):
         perm = rng.permutation(25)
-        h = Graph(g.adj[np.ix_(perm, perm)])
+        h = Graph(g.to_dense()[np.ix_(perm, perm)])
         assert abs(signed_triangle_stat(h, 0.4) - base) <= 1e-8
 
 
@@ -519,22 +534,22 @@ def test_tau_at_half_equals_the_direct_product(n):
 @pytest.mark.parametrize("n,q,d", [(40, 0.3, None), (300, 0.01, None),
                                    (300, 0.01, 2), (2000, 0.002, 5)])
 def test_tau_is_the_same_on_both_stores(n, q, d, p):
-    # the edge-store graph, its dense copy and the stacked dense kernel
-    # (float32 triangle product) give the same bits
+    # the graph built from the edges, the one built from its matrix and the
+    # stacked dense kernel (float32 triangle product) give the same bits
     rng = RngStream(43, n)
     g = sample_er(n, q, rng) if d is None else sample_rgg(n, q, d, rng)
     edge_built = Graph.from_edges(n, g.edges())
     dense = Graph(g.to_dense())
-    assert edge_built.adj is None and dense.adj is not None
+    assert edge_built.edges().tobytes() == dense.edges().tobytes()
     tau = signed_triangle_stat(edge_built, p)
     assert signed_triangle_stat(dense, p) == tau
-    assert _tau(dense.adj, p) == tau
+    assert _tau(dense.to_dense(), p) == tau
 
 
 def test_tau_on_the_edge_store_allocates_no_dense_matrix():
     # n = 20000: an n x n float64 matrix is 3.2 GB, a boolean one 400 MB
     g = sample_er(20_000, 2e-4, RngStream(44))
-    assert g.adj is None
+    assert not prefers_dense(g.n, g.m)
     tracemalloc.start()
     try:
         tau = signed_triangle_stat(g, 2e-4)
@@ -864,7 +879,7 @@ def test_rgg_path_follows_dimension(n, d, bartlett):
     else:
         X = sample_sphere(n, d, s)
     adj = np.triu(X @ X.T >= threshold(0.4, d), 1)
-    assert (sample_rgg(n, 0.4, d, s).adj == (adj | adj.T)).all()
+    assert (sample_rgg(n, 0.4, d, s).to_dense() == (adj | adj.T)).all()
 
 
 @pytest.mark.parametrize("n", [30, 64])
@@ -899,14 +914,14 @@ def test_skip_er_matches_dense_mask_law(n, p, reps):
     arms = []
 
     def skip_er(n, p, gen):
-        return Graph.from_edges(n, bernoulli_pairs(n, p, gen))
+        pairs = np.divmod(bernoulli_pairs(n, p, gen), n)
+        return Graph.from_edges(n, np.column_stack(pairs))
 
     def _dense_er(n, p, gen):
         return Graph._trusted(_er_stack(n, p, (gen,))[0])
     for k, draw in enumerate((_dense_er, skip_er)):
         graphs = [draw(n, p, base.substream(k * reps + i).generator())
                   for i in range(reps)]
-        assert all((g.adj is not None) == (draw is _dense_er) for g in graphs)
         arms.append(np.array([(g.m, triangle_count(g)) for g in graphs]))
     for col in range(2):
         assert ks_distance(arms[0][:, col], arms[1][:, col]) < crit, col
@@ -931,12 +946,35 @@ def test_rgg_circle_matches_dense_gram_law(n, p, reps):
 
 
 def test_store_follows_expected_edge_count():
-    # dense iff n^2 <= 64 bytes per expected edge
-    assert sample_er(30, 0.3, RngStream(45)).adj is not None
-    assert sample_er(3000, 4 / 3000, RngStream(45)).adj is None
-    assert sample_rgg(64, 0.5, 64, RngStream(45)).adj is not None
-    assert sample_rgg(3000, 4 / 3000, 2, RngStream(45)).adj is None
-    assert sample_rgg(3000, 4 / 3000, 512, RngStream(45)).adj is None
+    """The dense draw runs iff n^2 <= 64 bytes per expected edge: each
+    sampler gives the edges of the path that rule picks, drawn from the
+    same stream.  (From the same sphere points the Gram and sorted-angle
+    rules give the same edges, so only G(n, p) tells the dense draw apart.)"""
+    s = RngStream(45)
+    sparse = 4 / 3000
+
+    def dense_er(n, p):
+        return Graph._trusted(_er_stack(n, p, (s.generator(),))[0])
+
+    def dense_rgg(n, p, d):
+        return Graph._trusted(_rgg_stack(n, p, d, (s.generator(),))[0])
+    cases = [
+        (sample_er(30, 0.3, s), dense_er(30, 0.3), True),
+        (sample_er(3000, sparse, s), dense_er(3000, sparse), False),
+        (sample_er(3000, sparse, s),
+         Graph._from_keys(3000, bernoulli_pairs(3000, sparse, s.generator())),
+         True),
+        (sample_rgg(64, 0.5, 64, s), dense_rgg(64, 0.5, 64), True),
+        (sample_rgg(3000, sparse, 2, s),
+         _rgg_circle(sample_sphere(3000, 2, s), threshold(sparse, 2)), True),
+        (sample_rgg(3000, sparse, 512, s),
+         Graph._from_keys(3000, geom._edges_by_chunks(
+             sample_sphere(3000, 512, s), threshold(sparse, 512))), True),
+    ]
+    assert prefers_dense(30, 0.3 * 435) and prefers_dense(64, 0.5 * 2016)
+    assert not prefers_dense(3000, sparse * 3000 * 2999 / 2)
+    for got, path, same in cases:
+        assert np.array_equal(got.edges(), path.edges()) == same
 
 
 # ---------------------------------------------------------------- h map
@@ -951,7 +989,7 @@ def test_h_map_scale_invariant():
     w = sample_wishart(20, 30, rng=RngStream(25, 0))
     a = h_map(w)
     b = h_map(3.7 * w)
-    assert (a.adj == b.adj).all()
+    assert (a.to_dense() == b.to_dense()).all()
 
 
 def test_h_map_density_half():

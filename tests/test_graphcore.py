@@ -132,7 +132,7 @@ def test_serialize_round_trip_random():
         g = _random_graph(rng, int(rng.integers(1, 30)))
         h = parse_edge_list(serialize_edge_list(g))
         assert h.n == g.n
-        assert (h.to_dense() == g.adj).all()
+        assert (h.to_dense() == g.to_dense()).all()
 
 
 # ---------------------------------------------------------------- Graph
@@ -316,13 +316,17 @@ def test_deep_path_walks_end_to_end():
 
 
 def test_edge_store_holds_no_matrix():
+    """A graph built from its edges and one built from its matrix hold the
+    same edge array, and neither keeps a matrix: to_dense builds a new one
+    on every call."""
     g = Graph.from_edges(4, [(3, 1), (0, 2), (1, 2)])
-    assert g.adj is None
     indptr, indices = g.csr()
     assert indptr.tolist() == [0, 1, 3, 5, 6]
     assert indices.tolist() == [2, 2, 3, 0, 1, 1]
     dense = Graph(g.to_dense())
-    assert dense.adj is not None
+    assert dense.edges().tobytes() == g.edges().tobytes()
+    for h in (g, dense):
+        assert h.to_dense() is not h.to_dense()
     for v in range(4):
         assert g.neighbors(v).tolist() == dense.neighbors(v).tolist()
         assert g.degree(v) == dense.degree(v)
@@ -331,7 +335,7 @@ def test_edge_store_holds_no_matrix():
 
 def test_tree_is_its_parent_array():
     t = Tree([-1, 0, 0, 2, 2])
-    assert t.adj is None
+    assert t.to_dense() is not t.to_dense()
     assert t.degrees().tolist() == [2, 1, 3, 1, 1]
     assert t.edges().tolist() == [[0, 1], [0, 2], [2, 3], [2, 4]]
     u = Tree.from_edges(5, [(2, 4), (3, 2), (0, 2), (1, 0)])

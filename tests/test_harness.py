@@ -286,3 +286,21 @@ def test_power_from_constant_arms(null_value, alt_value, power):
     rep = power_from_samples(np.full(50, null_value), np.full(50, alt_value))
     assert rep.threshold == (null_value + alt_value) / 2.0
     assert (rep.power, rep.size) == (power, 0.0)
+
+
+@pytest.mark.parametrize("null,alt,size,power", [
+    ([0.0] * 50, [0.0] * 40 + [1.0] * 10, 0.0, 0.2),
+    ([2.0] * 50, [2.0] * 40 + [1.0] * 10, 0.0, 0.2),
+    ([0.7] * 40 + [0.0] * 10, [0.7] * 50, 0.8, 1.0),
+    ([0.1] * 40 + [1.0] * 10, [0.1] * 50, 0.8, 1.0),
+], ids=["null-below-alt", "null-above-alt", "alt-above-null", "alt-below-null"])
+def test_a_constant_arm_owns_its_value(null, alt, size, power):
+    """With one constant arm the cut lies on that arm's value, and the value
+    counts on that arm's side: a constant null rejects only strictly past
+    it, a constant alternative is rejected at it.  The mean of 50 copies
+    of 0.7 rounds above 0.7, and of 0.1 below 0.1, so a cut at the mean
+    would leave such a constant alternative unrejected."""
+    const = null[0] if np.ptp(null) == 0.0 else alt[0]
+    rep = power_from_samples(np.array(null), np.array(alt))
+    assert rep.threshold == const
+    assert (rep.size, rep.power) == (size, power)

@@ -38,6 +38,32 @@ def test_the_check_sees_private_names(tmp_path):
     assert _private_relative_imports(probe) == ["probe.py:2 imports .geom._skip_er"]
 
 
+# a Graph's store: only graphcore reads these; other modules call edges(),
+# csr() and to_dense()
+STORE_ATTRIBUTES = {"adj", "_edges", "_csr"}
+
+
+def _store_reads(path: Path) -> list[str]:
+    return [f"{path.name}:{node.lineno} reads .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in STORE_ATTRIBUTES]
+
+
+def test_only_graphcore_reads_the_graph_store():
+    modules = [path for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "graphcore.py"]
+    assert modules
+    assert [hit for path in modules for hit in _store_reads(path)] == []
+
+
+def test_the_check_sees_store_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(lg, adj):\n"
+                     "    return lg.graph.edges(), adj[0], lg.graph._csr\n",
+                     encoding="utf-8")
+    assert _store_reads(probe) == ["probe.py:2 reads ._csr"]
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     # scipy.stats takes about half a second and 45 MiB to import, and
     # scipy.sparse.csgraph about 60 ms; the functions that need them

@@ -1,6 +1,7 @@
 """Scale: trees with n = 10^6 and block models with n = 10^5 run through the
 CLI in a fresh process, in well under a GiB of resident memory, and an urn
-ensemble of 2 * 10^8 draws in under half a GiB.
+ensemble of 2 * 10^8 draws in under half a GiB.  Building a block model's
+edges, rows and label counts takes at most 40 bytes an edge.
 
 Each command runs under a small wrapper process, so RUSAGE_CHILDREN sees
 that command alone and not other children of the pytest process.
@@ -9,10 +10,13 @@ that command alone and not other children of the pytest process.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from checks import child_env
+from netinfer.graphcore import RngStream
+from netinfer.sbm import SbmParams, genie_recover, sample_sbm
 
 _WRAPPER = """
 import json, resource, subprocess, sys
@@ -156,3 +160,27 @@ def test_tau_on_the_edge_store_runs_in_little_memory():
     label, peak, unit = proc.stderr.splitlines()[-1].split()
     assert (label, unit) == ("VmHWM:", "kB")
     assert int(peak) < 256 << 10, peak
+
+
+def test_block_model_phases_stay_within_40_bytes_an_edge():
+    """At n = 2 * 10^5 (about 6 * 10^6 edges) sampling the block model, the
+    first csr() and then one genie_recover round each peak at most 40 bytes
+    an edge above what was allocated before them (tracemalloc).  The edge
+    store itself is 16 B/edge, and the compressed rows 16 more."""
+    params = SbmParams.symmetric(2, 9.0, 1.0)
+    tracemalloc.start()
+    try:
+        lg = sample_sbm(200_000, params, RngStream(1))
+        peaks = {"sample_sbm": tracemalloc.get_traced_memory()[1]}
+        for name, phase in (
+                ("csr", lg.graph.csr),
+                ("genie_recover", lambda: genie_recover(lg, params, 0.1, 1,
+                                                        RngStream(1, 1)))):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            phase()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    per_edge = {name: peak / lg.graph.m for name, peak in peaks.items()}
+    assert max(per_edge.values()) <= 40, per_edge
