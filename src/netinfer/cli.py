@@ -154,18 +154,21 @@ def _need(args: argparse.Namespace, dest: str):
     return getattr(args, dest)
 
 
+def _text(value, sep: str = ",") -> str:
+    """A list from --config as its command-line text, so that it is parsed
+    and refused (a fraction, a boolean) like the flag itself."""
+    return value if isinstance(value, str) else sep.join(map(str, value))
+
+
 def _int_list(value) -> list:
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        return [int(p) for p in parts]
-    return [int(v) for v in value]
+    return [int(p) for p in _text(value).replace(",", " ").split()]
 
 
 def _float_pair_matrix(value) -> list:
     """Rows separated by ';', entries by ','; also accepts nested lists."""
-    if isinstance(value, str):
-        return [[float(x) for x in row.split(",")] for row in value.split(";")]
-    return [[float(x) for x in row] for row in value]
+    if not isinstance(value, str):
+        value = ";".join(map(_text, value))
+    return [[float(x) for x in row.split(",")] for row in value.split(";")]
 
 
 def _record(args, parameters: dict, result: dict, replicas=None) -> dict:
@@ -334,7 +337,7 @@ def _sbm_params(args) -> sbm.SbmParams:
     if p is not None or Q is not None:
         if p is None or Q is None:
             raise UsageError("p_vector and q_matrix must be given together")
-        p = [float(x) for x in (p.split(",") if isinstance(p, str) else p)]
+        p = [float(x) for x in _text(p).split(",")]
         return sbm.SbmParams(k=len(p), p=np.asarray(p),
                              Q=np.asarray(_float_pair_matrix(Q)),
                              regime=args.regime)
@@ -500,13 +503,16 @@ def _run_wishart_sample(args) -> tuple:
 def _parse_replacement(value, m: int) -> np.ndarray:
     if value is None or value == "identity":
         return np.eye(m, dtype=np.int64)
-    if isinstance(value, str):
-        if value.startswith("identity:"):
-            return int(value.split(":", 1)[1]) * np.eye(m, dtype=np.int64)
-        if value == "triangular":
-            return np.asarray(urns.TRIANGULAR_REPLACEMENT)
-        return np.asarray(json.loads(value), dtype=np.int64)
-    return np.asarray(value, dtype=np.int64)
+    if not isinstance(value, str):
+        value = json.dumps(value)
+    if value.startswith("identity:"):
+        return int(value.split(":", 1)[1]) * np.eye(m, dtype=np.int64)
+    if value == "triangular":
+        return np.asarray(urns.TRIANGULAR_REPLACEMENT)
+    rows = json.loads(value)
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError(f"replacement entries must be integers, got {value}")
+    return np.asarray(rows, dtype=np.int64)
 
 
 def _urn_state(args) -> urns.UrnState:

@@ -54,8 +54,8 @@ import numpy as np
 import scipy.sparse as _sparse
 from scipy.special import betainc, betaincinv
 
-from .graphcore import (DENSE_BYTES_LIMIT, Graph, RngStream, bernoulli_pairs,
-                        check_dense, pair_keys, prefers_dense)
+from .graphcore import (CACHE_BYTES, Graph, RngStream, bernoulli_pairs,
+                        check_dense, fits_dense, pair_keys, prefers_dense)
 from .harness import Batched, PowerReport, power_from_samples, two_arm
 
 WISHART_KINDS = ("wishart", "goe_shifted", "wishart_scaled_nodiag", "goe_nodiag")
@@ -222,7 +222,7 @@ def sample_wishart(n: int, d: int, entry_dist: str = "gaussian",
       (for gaussian entries with d >= n, drawn as L L^T by Bartlett;
       otherwise Y is drawn a chunk of columns at a time and the chunks'
       Gram products are summed, so memory is O(n^2) plus one chunk of at
-      most max(1 MiB, 8 n^2 bytes), whatever d is);
+      most max(CACHE_BYTES, 8 n^2 bytes), whatever d is);
     - goe_shifted: sqrt(d) M(n) + d I with M(n) symmetric, off-diagonal
       variance 1 and diagonal variance 2;
     - wishart_scaled_nodiag: (X X^T - diag(X X^T)) / sqrt(d);
@@ -282,8 +282,8 @@ def graph_replica(n: int, p: float, stat: str,
     else:
         def one(s): return score(sample_rgg(n, p, d, s))
         def draw(gens): return _rgg_stack(n, p, d, gens)
-    if not (0.0 < p < 1.0 and (d is None or d >= 2) and _stack_fits(n)
-            and prefers_dense(n, p * n * (n - 1) / 2)):
+    if not (0.0 < p < 1.0 and (d is None or d >= 2) and 1 <= n
+            and fits_dense(n, 8) and prefers_dense(n, p * n * (n - 1) / 2)):
         return one
     return Batched(one, lambda gens: stack_score(draw(gens)), 8 * n * n)
 
@@ -307,7 +307,8 @@ def matrix_replica(n: int, d: int, entry_dist: str, kind: str,
                                           kind=kind, rng=s)))
     bartlett = (kind in ("wishart", "wishart_scaled_nodiag")
                 and entry_dist == "gaussian" and d >= n)
-    if not (entry_dist in ENTRY_DISTS and d >= 1 and _stack_fits(n)
+    if not (entry_dist in ENTRY_DISTS and d >= 1 and 1 <= n
+            and fits_dense(n, 8)
             and (kind in ("goe_shifted", "goe_nodiag") or bartlett)):
         return one
     return Batched(one, lambda gens: score(
@@ -374,11 +375,6 @@ def sparse_triangle_experiment(n: int, c: float, d: int, replicas: int,
     return power_from_samples(*two_arm(
         graph_replica(n, p, "t"), graph_replica(n, p, "t", d),
         replicas, rng))
-
-
-def _stack_fits(n: int) -> bool:
-    """Whether an n x n float64 matrix per replica passes check_dense."""
-    return 1 <= n and 8 * n * n <= DENSE_BYTES_LIMIT
 
 
 # Stacked kernels.  A sampler takes a sized iterable of generators, one per
@@ -495,20 +491,10 @@ def _wishart_stack(n: int, d: int, entry_dist: str, kind: str,
     return M
 
 
-# A column chunk of the entry matrix Y in _entry_gram, or of its packed coins
-# in _sign_gram, holds at most this many bytes, unless n columns (n words)
-# take more, so a chunk and its Gram product stay in a core's L2 cache (2 MiB
-# on the 2-vCPU Xeon this was timed on).  Timed from 256 KiB to 2 MiB at
-# n = 32, d = 1.6e5, one replica alone and two on two threads: 512 KiB and
-# 1 MiB tied, 256 KiB was slower on two threads and 2 MiB on one.  Packed
-# coins took the same time from 512 KiB to 4 MiB at n = 32, d = 1e6.
-_CHUNK_BYTES = 1 << 20
-
-
 def _entry_gram(n: int, d: int, entry_dist: str, gen, out: np.ndarray) -> None:
     """Y Y^T into out, for Y an n x d matrix of i.i.d. entry_dist entries.
 
-    Y is drawn a chunk of c = max(n, _CHUNK_BYTES // (8 n)) columns at a
+    Y is drawn a chunk of c = max(n, CACHE_BYTES // (8 n)) columns at a
     time (the last chunk may be narrower), row-major within the chunk, and
     the chunk's Gram product is added, so memory is O(n c + n^2) whatever
     d is.  For d <= c, as for every gaussian draw (d < n here), that is
@@ -517,7 +503,7 @@ def _entry_gram(n: int, d: int, entry_dist: str, gen, out: np.ndarray) -> None:
     if entry_dist == "rademacher":
         _sign_gram(n, d, gen, out)
         return
-    width = min(d, max(n, _CHUNK_BYTES // (8 * n)))
+    width = min(d, max(n, CACHE_BYTES // (8 * n)))
     Y = np.empty((n, width))
     for start in range(0, d, width):
         if d - start < width:  # a fill needs contiguous memory, not a slice
@@ -534,9 +520,9 @@ def _sign_gram(n: int, d: int, gen, out: np.ndarray) -> None:
     with b the fair coins of _coins, counted from the packed coins: with
     y_i the words of row i, W_ij = d - 2 popcount(y_i xor y_j), exact.
 
-    The rows are drawn a chunk of w = max(1, _CHUNK_BYTES // (8 n)) words
+    The rows are drawn a chunk of w = max(1, CACHE_BYTES // (8 n)) words
     each at a time (the last chunk may be narrower), row-major within the
-    chunk, so a chunk holds at most _CHUNK_BYTES unless n words take more;
+    chunk, so a chunk holds at most CACHE_BYTES unless n words take more;
     a chunk takes the words _coins draws for its 64 w columns, and the
     bits past d in the last word are cleared.  For d <= 64 w that is the
     one _coins draw of Y.  Each row is counted against the rows below it,
@@ -544,7 +530,7 @@ def _sign_gram(n: int, d: int, gen, out: np.ndarray) -> None:
     1.6 ms, against 4.4 ms for one (n, n, w) block of all pairs.
     """
     words = -(-d // 64)
-    width = min(words, max(1, _CHUNK_BYTES // (8 * n)))
+    width = min(words, max(1, CACHE_BYTES // (8 * n)))
     flips = np.zeros((n, n), dtype=np.int64)
     for start in range(0, words, width):
         y = gen.bit_generator.random_raw((n, min(width, words - start)))
@@ -739,7 +725,7 @@ def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
         hi = np.nextafter(np.float32(t + delta), np.float32(np.inf))
         x32 = coords.astype(np.float32)
     chunk = max(1, 2_000_000 // n)
-    batch = max(1, 2 ** 22 // (16 * d))
+    batch = max(1, 4 * CACHE_BYTES // (16 * d))
     keys = []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)

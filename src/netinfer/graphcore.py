@@ -106,6 +106,15 @@ class SubstreamGenerators:
 # the caller gets DenseSizeError at once instead of an out-of-memory kill.
 DENSE_BYTES_LIMIT = 1 << 30
 
+# A temporary that a loop refills (a block of replicas in harness.replicate,
+# a Wishart entry chunk in geom, a block of urn uniforms in urns) holds about
+# this many bytes, so it stays in a core's 2 MiB L2 cache (2-vCPU Xeon) and
+# memory does not grow with the loop.  Timed there: Wishart chunks of 512 KiB
+# and 1 MiB tied at n = 32, d = 1.6e5 (256 KiB lost on two threads, 2 MiB on
+# one), packed coins tied from 512 KiB to 4 MiB, and no replica-block cap
+# from 128 KiB to 2 MiB (n = 30..64) won every command by more than noise.
+CACHE_BYTES = 1 << 20
+
 # Samplers and triangle statistics take whole n x n boolean matrices (n^2
 # bytes) only when these cost at most this many bytes per expected edge.
 # The edge store costs 16 B/edge, and 16 more once the compressed sparse
@@ -117,13 +126,21 @@ class DenseSizeError(ValueError):
     """A dense array would pass DENSE_BYTES_LIMIT."""
 
 
+def fits_dense(n: int, itemsize: int, cols: int | None = None) -> bool:
+    """Whether an n x cols array (n x n when cols is None) of
+    `itemsize`-byte cells fits in DENSE_BYTES_LIMIT, counted in Python ints,
+    which never wrap."""
+    n = operator.index(n)
+    cols = n if cols is None else operator.index(cols)
+    return n * cols * itemsize <= DENSE_BYTES_LIMIT
+
+
 def check_dense(n: int, itemsize: int, what: str, cols: int | None = None) -> None:
-    """Raise DenseSizeError before `what` allocates an n x cols array (n x n
-    when cols is None) of `itemsize`-byte cells larger than
-    DENSE_BYTES_LIMIT."""
-    cols = n if cols is None else cols
-    nbytes = n * cols * itemsize
-    if nbytes > DENSE_BYTES_LIMIT:
+    """Raise DenseSizeError before `what` allocates an array that fits_dense
+    refuses."""
+    if not fits_dense(n, itemsize, cols):
+        cols = n if cols is None else cols
+        nbytes = int(n) * int(cols) * itemsize
         raise DenseSizeError(
             f"{what} needs a dense {n} x {cols} array of {nbytes / 2**30:.1f} GiB, "
             f"above the {DENSE_BYTES_LIMIT / 2**30:g} GiB limit")

@@ -21,14 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphcore import RngStream, SubstreamGenerators
-
-# A block of a Batched replica function holds at most this many bytes of
-# per-replica arrays; a replica larger than this is a block of its own.
-# Timed serially from 128 KiB to 2 MiB on dense replicas with n = 30..64
-# (a 2-vCPU Xeon), no cap beat 512 KiB on every command by more than the
-# run-to-run noise, and larger caps raised peak RSS by 1-4 MiB.
-_BLOCK_BYTES = 1 << 19
+from .graphcore import CACHE_BYTES, RngStream, SubstreamGenerators
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,7 @@ def replicate(fn: Callable[[RngStream], float | np.ndarray], replicas: int,
         raise ValueError("replicas must be positive")
     if isinstance(fn, Batched):
         # the fewest blocks under the cap, of sizes that differ by at most one
-        blocks = -(-replicas * fn.nbytes // _BLOCK_BYTES)
+        blocks = -(-replicas * fn.nbytes // CACHE_BYTES)
         blocks = min(replicas, max(1, blocks))
         edges = [replicas * k // blocks for k in range(blocks + 1)]
         return np.concatenate([fn.block(SubstreamGenerators(rng, start, stop))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
-                        pair_keys)
+                        check_dense, pair_keys)
 
 REGIMES = ("constant", "logarithmic", "linear")
 
@@ -335,7 +335,8 @@ def pairwise_error(lambda_i, lambda_j, p_i: float, p_j: float) -> PairwiseError:
 
     The lattice is truncated per coordinate at mu + 12 sqrt(mu) + 30 with
     mu the larger of the two means; the reported tail_bound dominates
-    everything the truncation drops.
+    everything the truncation drops.  A lattice of float64 cells that
+    check_dense refuses raises DenseSizeError before anything is built.
     """
     li = np.atleast_1d(np.asarray(lambda_i, dtype=np.float64))
     lj = np.atleast_1d(np.asarray(lambda_j, dtype=np.float64))
@@ -348,10 +349,9 @@ def pairwise_error(lambda_i, lambda_j, p_i: float, p_j: float) -> PairwiseError:
     if p_i == 0.0 or p_j == 0.0:
         return PairwiseError(0.0, 0.0)
     mu = np.maximum(li, lj)
-    limits = np.ceil(mu + 12.0 * np.sqrt(mu) + 30.0).astype(np.int64)
-    cells = int(np.prod(limits + 1))
-    if cells > 200_000_000:
-        raise ValueError("truncated lattice too large; reduce dimension or means")
+    limits = [math.ceil(x) for x in (mu + 12.0 * np.sqrt(mu) + 30.0).tolist()]
+    check_dense(math.prod(x + 1 for x in limits[:-1]), 8,
+                "the truncated lattice", limits[-1] + 1)
     log_i = [_poisson_logpmf(nl, l) for nl, l in zip(limits, li)]
     log_j = [_poisson_logpmf(nl, l) for nl, l in zip(limits, lj)]
     si, sj = log_i[0], log_j[0]

@@ -14,16 +14,13 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from .graphcore import RngStream
+from .graphcore import CACHE_BYTES, RngStream
 from .harness import ks_distance, ks_distance_cdf
 
 # drawing color 0 adds two color-0 balls; drawing color 1 adds one of each
 TRIANGULAR_REPLACEMENT = np.array([[2, 0], [1, 1]], dtype=np.int64)
 TRIANGULAR_REPLACEMENT.setflags(write=False)
 
-# urn_run_batch draws its uniforms in blocks of whole steps of about this
-# many bytes (at least one step), so memory does not grow with steps x runs
-_UNIFORM_BLOCK_BYTES = 2 << 20
 # urn_run_batch keeps its counts in float64, exact for integers up to 2^53
 _EXACT_COUNT = 1 << 53
 
@@ -199,7 +196,7 @@ def urn_run_batch(initial: UrnState, steps: int, runs: int, rng: RngStream,
     out = np.empty((marks.size, runs, m), dtype=np.int64)
     # uniforms come in blocks of whole steps, step-major and in run order
     # within a step: the same stream as one gen.random(runs) per step
-    buf = np.empty((max(1, _UNIFORM_BLOCK_BYTES // (8 * runs)), runs))
+    buf = np.empty((max(1, CACHE_BYTES // (8 * runs)), runs))
     pos = 0
     if marks[0] == 0:
         out[0] = np.diff(cum, axis=0, prepend=0).T

@@ -179,6 +179,38 @@ def test_config_values_are_checked_like_flags(capsys, tmp_path, argv, config,
     assert err.startswith(f"error: {flag}: --config value")
 
 
+URN = ("urn", "check", "--law", "beta", "--n-final", "50", "--runs", "20",
+       "--seed", "1")
+DIMEST = ("geom", "dimest", "--n", "16", "--p", "0.5", "--true-d", "2",
+          "--replicas", "20", "--seed", "6")
+
+
+@pytest.mark.parametrize("argv,config", [
+    (URN, {"counts": [1.5, 1]}),
+    (URN, {"counts": [True, 1]}),
+    (DIMEST, {"candidates": [2.9, 8]}),
+    (URN + ("--counts", "1,1", "--replacement", "[[1.5,0],[0,1]]"), {}),
+    (URN + ("--counts", "1,1", "--replacement", "[[true,0],[0,1]]"), {}),
+    (URN + ("--counts", "1,1"), {"replacement": [[1.5, 0], [0, 1]]}),
+    (("sbm", "gen", "--n", "100", "--q-matrix", "2", "--seed", "1", "--out",
+      "g.txt"), {"p_vector": [True]}),
+    (("sbm", "chd", "--p-vector", "0.5,0.5"), {"q_matrix": [[9, True], [True, 9]]}),
+], ids=["fractional-count", "bool-count", "fractional-candidate",
+        "fractional-replacement", "bool-replacement",
+        "config-fractional-replacement", "bool-prior", "bool-rate"])
+def test_list_values_are_never_truncated(capsys, tmp_path, monkeypatch, argv,
+                                         config):
+    """A list entry that its flag's command-line text would refuse (a
+    fraction where an integer is due, a boolean) exits 1, from --config as
+    on the command line, instead of running on a rounded input."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", "cfg.json")
+    assert code == 1 and out == "", err
+    assert err.startswith("error: ")
+    assert not (tmp_path / "g.txt").exists()
+
+
 # ----------------------------------------------------------- CLI <-> library
 
 

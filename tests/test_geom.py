@@ -799,7 +799,7 @@ def test_chunked_entry_gram_matches_direct_law(monkeypatch, entry_dist, full,
     entries, or 4 words a row of packed Rademacher coins."""
     n, c = 16, 256
     packed = 64 if entry_dist == "rademacher" else 1
-    monkeypatch.setattr(geom, "_CHUNK_BYTES", 8 * n * c // packed)
+    monkeypatch.setattr(geom, "CACHE_BYTES", 8 * n * c // packed)
     d = full * c + extra
     _assert_entry_law(n, d, entry_dist, RngStream(45, d))
 
@@ -834,13 +834,13 @@ def test_entry_gram_sums_its_column_chunks(monkeypatch, entry_dist, n, d, cap):
     float Gram of the signs unpacked from the same words is the same
     integers, with the coins past each chunk's last column not counted."""
     if entry_dist == "rademacher":
-        monkeypatch.setattr(geom, "_CHUNK_BYTES",
-                            (cap or geom._CHUNK_BYTES) // 64)
-        width = 64 * max(1, geom._CHUNK_BYTES // (8 * n))
+        monkeypatch.setattr(geom, "CACHE_BYTES",
+                            (cap or geom.CACHE_BYTES) // 64)
+        width = 64 * max(1, geom.CACHE_BYTES // (8 * n))
     else:
         if cap is not None:
-            monkeypatch.setattr(geom, "_CHUNK_BYTES", cap)
-        width = max(n, geom._CHUNK_BYTES // (8 * n))
+            monkeypatch.setattr(geom, "CACHE_BYTES", cap)
+        width = max(n, geom.CACHE_BYTES // (8 * n))
     assert width < d
     s = RngStream(46, d)
     expect = chunked_gram(n, d, width, entry_dist, s.generator())

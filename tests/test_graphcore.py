@@ -16,6 +16,8 @@ from netinfer.graphcore import (
     SubstreamGenerators,
     Tree,
     bfs_order,
+    check_dense,
+    fits_dense,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -361,6 +363,17 @@ def test_huge_edge_store_needs_no_dense_allocation():
     with pytest.raises(DenseSizeError, match="GiB limit"):
         g.to_dense()
     assert 10**6 * 10**6 > DENSE_BYTES_LIMIT
+
+
+def test_dense_sizes_are_counted_without_wrapping():
+    # 2^32 x 2^32 float64 cells are 2^67 bytes, which wraps to 0 in int64
+    big = np.int64(1 << 32)
+    assert not fits_dense(big, 8)
+    with pytest.raises(DenseSizeError, match="4294967296 x 4294967296"):
+        check_dense(big, 8, "the probe")
+    assert fits_dense(11585, 8) and not fits_dense(11586, 8)
+    assert fits_dense(1, 8, DENSE_BYTES_LIMIT // 8)
+    assert not fits_dense(2, 8, DENSE_BYTES_LIMIT // 8)
 
 
 # ---------------------------------------------------------------- RngStream

@@ -64,6 +64,39 @@ def test_the_check_sees_store_reads(tmp_path):
     assert _store_reads(probe) == ["probe.py:2 reads ._csr"]
 
 
+# sizes (cache blocks, dense-array limits) are stated once, in graphcore;
+# other modules import them
+def _size_names(path: Path) -> list[str]:
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} assigns {name.id}"
+                  for target in targets for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and "BYTES" in name.id]
+    return found
+
+
+def test_only_graphcore_assigns_sizes():
+    modules = [path for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "graphcore.py"]
+    assert modules
+    assert [hit for path in modules for hit in _size_names(path)] == []
+
+
+def test_the_check_sees_size_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .graphcore import CACHE_BYTES\n"
+                     "_BLOCK_BYTES = CACHE_BYTES // 2\n"
+                     "def f():\n"
+                     "    LOCAL_BYTES = 1\n", encoding="utf-8")
+    assert _size_names(probe) == ["probe.py:2 assigns _BLOCK_BYTES"]
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     # scipy.stats takes about half a second and 45 MiB to import, and
     # scipy.sparse.csgraph about 60 ms; the functions that need them

@@ -69,7 +69,7 @@ def test_batched_replicas_equal_the_one_replica_oracle(monkeypatch, name):
     assert replica_loop(fn, R, rng).tobytes() == expect  # the plain calls
     assert replicate(fn, 1, rng).tobytes() == expect[:8]
     for per_block in (1, 7, R - 1):
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", per_block * fn.nbytes)
+        monkeypatch.setattr(harness, "CACHE_BYTES", per_block * fn.nbytes)
         for jobs in (1, 2, 4):
             assert replicate(fn, R, rng, jobs=jobs).tobytes() == expect, (
                 per_block, jobs)
@@ -109,7 +109,7 @@ def _block_sizes(nbytes):
 
 
 def test_a_replica_larger_than_the_cap_is_a_block_of_one():
-    sizes, fn = _block_sizes(harness._BLOCK_BYTES + 1)
+    sizes, fn = _block_sizes(harness.CACHE_BYTES + 1)
     vals = replicate(fn, 5, RngStream(93), jobs=2)
     assert sizes == [1] * 5
     assert vals.tolist() == [RngStream(93).substream(i).generator().random()
@@ -121,7 +121,7 @@ def test_a_replica_larger_than_the_cap_is_a_block_of_one():
 def test_block_edges_depend_on_replicas_and_size_only(jobs, fit, expect):
     # `fit` replicas fit under the cap: 30 replicas make the fewest blocks
     # of sizes that differ by at most one, whatever the number of workers
-    sizes, fn = _block_sizes(harness._BLOCK_BYTES // fit)
+    sizes, fn = _block_sizes(harness.CACHE_BYTES // fit)
     replicate(fn, 30, RngStream(94), jobs=jobs)
     assert sizes == expect
 
@@ -134,7 +134,7 @@ def test_blocks_run_in_order_on_the_calling_thread(jobs):
         threads.append(threading.get_ident())
         starts.append(gens.start)
         return np.array([gen.random() for gen in gens])
-    fn = Batched(lambda s: 0.0, block, harness._BLOCK_BYTES // 7)
+    fn = Batched(lambda s: 0.0, block, harness.CACHE_BYTES // 7)
     vals = replicate(fn, 30, RngStream(96), jobs=jobs)
     assert threads == [threading.get_ident()] * 5
     assert starts == [0, 6, 12, 18, 24]

@@ -9,7 +9,7 @@ from scipy.stats import poisson
 
 import oracles
 from checks import assert_prop_close, assert_rel_close
-from netinfer.graphcore import Graph, RngStream
+from netinfer.graphcore import DenseSizeError, Graph, RngStream
 from netinfer.harness import ks_distance
 from netinfer.sbm import (
     LabeledGraph,
@@ -459,7 +459,7 @@ def test_pairwise_error_validation():
         pairwise_error([0.0], [1.0], 0.5, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         pairwise_error([1.0], [1.0], -0.1, 0.5)
-    with pytest.raises(ValueError, match="lattice too large"):
+    with pytest.raises(DenseSizeError, match="truncated lattice"):
         pairwise_error([1e4] * 3, [1e4] * 3, 0.5, 0.5)
 
 

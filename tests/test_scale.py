@@ -29,12 +29,17 @@ print(json.dumps({"code": proc.returncode, "out": proc.stdout,
 
 _GIB_IN_KIB = 1 << 20
 
-# runs the CLI with the process's address space capped at 4 GiB; when the
-# command returns, the last stderr line is the process's own peak RSS
-# (VmHWM: ru_maxrss would also count what a parent held before the exec)
-_CAPPED = """
+# caps the process's address space at 4 GiB, so that a missing guard fails
+# with a MemoryError instead of exhausting the host
+_CAP = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+"""
+
+# runs the CLI under _CAP; when the command returns, the last stderr line is
+# the process's own peak RSS (VmHWM: ru_maxrss would also count what a
+# parent held before the exec)
+_CAPPED = _CAP + """
 from netinfer.cli import main
 code = main(sys.argv[1:])
 with open("/proc/self/status") as status:
@@ -124,6 +129,19 @@ def test_vertex_count_past_int64_keys_exits_one_at_once(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "the limit is 2^63 - 1" in proc.stderr
+
+
+def test_twelve_dimensional_lattice_is_refused_at_once():
+    """A 12-dimensional Poisson error lattice has about 10^20 cells, a count
+    that wraps in int64; it is counted in Python ints and refused before
+    anything is built."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAP + "from netinfer.sbm import pairwise_error\n"
+         "pairwise_error([1.0] * 12, [1.1] * 12, 0.5, 0.5)\n"],
+        env=child_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert "DenseSizeError: the truncated lattice needs a dense" in proc.stderr
+    assert "GiB limit" in proc.stderr
 
 
 def test_wide_uniform_wishart_runs_in_little_memory():

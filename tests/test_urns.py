@@ -194,7 +194,7 @@ def test_batch_matches_step_loop_oracle(state, steps, runs, marks):
 def test_batch_matches_oracle_across_uniform_blocks(state, monkeypatch):
     # 3 steps of 7 runs per block: checkpoints 3, 4 and 21 and the last step
     # (50, in a 2-step block) sit on either side of block edges
-    monkeypatch.setattr(urns, "_UNIFORM_BLOCK_BYTES", 3 * 7 * 8)
+    monkeypatch.setattr(urns, "CACHE_BYTES", 3 * 7 * 8)
     marks = [0, 2, 3, 4, 20, 21, 49, 50]
     got = urn_run_batch(state, 50, 7, RngStream(42, 0), marks)
     want = oracles.loop_urn_run_batch(state, 50, 7, RngStream(42, 0), marks)
