@@ -154,10 +154,10 @@ def _need(args: argparse.Namespace, dest: str):
     return getattr(args, dest)
 
 
-def _text(value, sep: str = ",") -> str:
+def _text(value) -> str:
     """A list from --config as its command-line text, so that it is parsed
     and refused (a fraction, a boolean) like the flag itself."""
-    return value if isinstance(value, str) else sep.join(map(str, value))
+    return value if isinstance(value, str) else ",".join(map(str, value))
 
 
 def _int_list(value) -> list:
@@ -167,7 +167,7 @@ def _int_list(value) -> list:
 def _float_pair_matrix(value) -> list:
     """Rows separated by ';', entries by ','; also accepts nested lists."""
     if not isinstance(value, str):
-        value = ";".join(map(_text, value))
+        value = ";".join(",".join(map(str, row)) for row in value)
     return [[float(x) for x in row.split(",")] for row in value.split(";")]
 
 
@@ -509,10 +509,10 @@ def _parse_replacement(value, m: int) -> np.ndarray:
         return int(value.split(":", 1)[1]) * np.eye(m, dtype=np.int64)
     if value == "triangular":
         return np.asarray(urns.TRIANGULAR_REPLACEMENT)
-    rows = json.loads(value)
-    if any(type(x) is not int for row in rows for x in row):
+    rows = np.asarray(json.loads(value), dtype=object)
+    if any(type(x) is not int for x in rows.flat):
         raise ValueError(f"replacement entries must be integers, got {value}")
-    return np.asarray(rows, dtype=np.int64)
+    return rows.astype(np.int64)
 
 
 def _urn_state(args) -> urns.UrnState:

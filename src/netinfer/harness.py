@@ -139,11 +139,11 @@ def replicate(fn: Callable[[RngStream], float | np.ndarray], replicas: int,
     """Evaluate fn on substreams 0..replicas-1 of rng, in index order.
 
     fn returns a scalar or a fixed-length 1-d array, giving a (replicas,)
-    or (replicas, k) float64 array.  A Batched fn is evaluated a block of
-    replicas at a time, in block order on the calling thread.  A plain fn
-    is fanned out over min(jobs, replicas, CPU count) threads when that is
-    more than one; results are collected by replica index, so the output
-    is independent of jobs.
+    or (replicas, k) float64 array.  A Batched fn is evaluated in blocks of
+    at most CACHE_BYTES of replicas (or one larger replica), in block order
+    on the calling thread.  A plain fn is fanned out over min(jobs,
+    replicas, CPU count) threads when that is more than one; results are
+    collected by replica index, so the output is independent of jobs.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")

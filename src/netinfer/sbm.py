@@ -342,8 +342,8 @@ def pairwise_error(lambda_i, lambda_j, p_i: float, p_j: float) -> PairwiseError:
     lj = np.atleast_1d(np.asarray(lambda_j, dtype=np.float64))
     if li.shape != lj.shape or li.ndim != 1:
         raise ValueError("mean vectors must have the same length")
-    if (li <= 0).any() or (lj <= 0).any():
-        raise ValueError("means must be strictly positive")
+    if not (np.isfinite(li) & np.isfinite(lj) & (li > 0) & (lj > 0)).all():
+        raise ValueError("means must be strictly positive and finite")
     if p_i < 0 or p_j < 0:
         raise ValueError("priors must be nonnegative")
     if p_i == 0.0 or p_j == 0.0:

@@ -194,8 +194,8 @@ def urn_run_batch(initial: UrnState, steps: int, runs: int, rng: RngStream,
     drawn = np.ones((m, runs))
     inc = np.empty((m, runs))
     out = np.empty((marks.size, runs, m), dtype=np.int64)
-    # uniforms come in blocks of whole steps, step-major and in run order
-    # within a step: the same stream as one gen.random(runs) per step
+    # uniforms come in CACHE_BYTES blocks of whole steps, step-major and in
+    # run order within a step: the same stream as gen.random(runs) per step
     buf = np.empty((max(1, CACHE_BYTES // (8 * runs)), runs))
     pos = 0
     if marks[0] == 0:

@@ -2,8 +2,9 @@
 cli.main in one empty directory, gives the exit code, the stdout record
 and the side files stored for it in golden/records.jsonl.  Each line that
 exits 0 and whose command takes --jobs is also rerun at --jobs 1, 2 and 4,
-each time from a copy of the directory as it stood before the line, and
-the three `result` objects must equal the line's own.
+each time in a copy of the directory as it stood before the line (a
+--table file read back would change the record), and the three `result`
+objects must equal the line's own.
 
 Comparison rule.  The first line of records.jsonl names the host the
 records were made on: the numpy version, the BLAS library and its
@@ -40,7 +41,8 @@ COMMAND_FILE = GOLDEN / "commands.txt"
 RECORD_FILE = GOLDEN / "records.jsonl"
 FLOAT_REL = 1e-12  # off a matching host only
 
-_TAKES_JOBS = {c.name for c in COMMANDS if any(f.dest == "jobs" for f in c.flags)}
+_TAKES_JOBS = {c.name for c in COMMANDS
+               if any(flag.dest == "jobs" for flag in c.flags)}
 
 
 def golden_lines() -> list[str]:
@@ -118,15 +120,16 @@ def test_golden_records_and_jobs_reruns(tmp_path):
     lines = golden_lines()
     assert [r["line"] for r in want] == lines, "rerun golden/regen.py"
     exact = env == environment()
-    work, before = tmp_path / "work", tmp_path / "before"
+    work = tmp_path / "work"
     work.mkdir()
     moved, jobs_moved = [], []
     for line, expect in zip(lines, want):
         rerun = (expect["code"] == 0
                  and " ".join(shlex.split(line)[:2]) in _TAKES_JOBS)
-        if rerun:
-            shutil.rmtree(before, ignore_errors=True)
-            shutil.copytree(work, before)
+        copies = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2, 4) if rerun}
+        for copy in copies.values():
+            shutil.rmtree(copy, ignore_errors=True)
+            shutil.copytree(work, copy)
         got = run_line(line, work)
         if exact:
             same = json.dumps(got) == json.dumps(expect)
@@ -136,10 +139,7 @@ def test_golden_records_and_jobs_reruns(tmp_path):
                     and _same(got["record"], expect["record"]))
         if not same:
             moved.append(line)
-        for jobs in (1, 2, 4) if rerun else ():
-            copy = tmp_path / f"jobs{jobs}"
-            shutil.rmtree(copy, ignore_errors=True)
-            shutil.copytree(before, copy)
+        for jobs, copy in copies.items():
             again = run_line(line, copy, ("--jobs", str(jobs)))
             if (again["code"] != 0
                     or json.dumps(again["record"]["result"])

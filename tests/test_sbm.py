@@ -463,6 +463,15 @@ def test_pairwise_error_validation():
         pairwise_error([1e4] * 3, [1e4] * 3, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("mean", [math.inf, math.nan, -math.inf])
+def test_pairwise_error_refuses_non_finite_means(mean):
+    # an infinite or nan mean once gave a wrapped lattice size and a nan tail
+    with pytest.raises(ValueError, match="strictly positive and finite"):
+        pairwise_error([1.0, mean], [1.0, 2.0], 0.5, 0.5)
+    with pytest.raises(ValueError, match="strictly positive and finite"):
+        pairwise_error([1.0, 2.0], [1.0, mean], 0.5, 0.5)
+
+
 # ------------------------------------------------------- error sandwich
 
 
