@@ -243,24 +243,27 @@ def _power_fields(null_vals, alt_vals) -> dict:
 
 
 def _target(args, d, stream: RngStream) -> tuple:
-    """The graph to classify: the --in file, else a fresh G(n, p, d)."""
+    """The tau of the graph to classify, the --in file (whose size must be
+    --n) or else a fresh G(n, p, d), and where that graph came from."""
     if args.in_path is not None:
-        return _read_graph(args.in_path), args.in_path
-    return geom.sample_rgg(args.n, args.p, d, stream), "sampled-rgg"
+        g, source = _read_graph(args.in_path), args.in_path
+        if g.n != args.n:
+            raise ValueError("graph size does not match n")
+    else:
+        g, source = geom.sample_rgg(args.n, args.p, d, stream), "sampled-rgg"
+    return geom.signed_triangle_stat(g, args.p), source
 
 
 def _run_geom_detect(args) -> tuple:
     params = {"n": args.n, "p": args.p, "d": args.d}
     fields = _power_fields(*_draw_arms(args, _model_arms(args, "geom", "tau")))
-    target, target_src = _target(
+    stat, target_src = _target(
         args, args.d, RngStream(args.seed).substream(2 * args.replicas))
-    detection = geom.detect_geometry(target, args.n, args.p,
-                                     fields["threshold"])
     calibration = {key: fields.pop(key) for key in
                    ("threshold", "mean_null", "mean_alt", "sd_null", "sd_alt")}
+    verdict = "geometric" if stat >= calibration["threshold"] else "random"
     result = {**params, **fields, "model": "er-vs-rgg", "statistic": "tau",
-              "verdict": detection.verdict, "stat_value": detection.statistic,
-              "target": target_src,
+              "verdict": verdict, "stat_value": stat, "target": target_src,
               "calibration": {**calibration, "replicas": args.replicas}}
     return {**params, "jobs": args.jobs}, result
 
@@ -456,12 +459,11 @@ def _run_geom_dimest(args) -> tuple:
                       "replicas": replicas, "seed": args.seed}
     if args.table is not None and len(reused) < len(cands):
         _write(args.table, _json(table, indent=2))
-    target, target_src = _target(args, args.true_d,
-                                 rng.substream(len(cands) * replicas))
-    result = {"d_hat": geom.estimate_dimension(target, n, p, cands, means),
+    stat, target_src = _target(args, args.true_d,
+                               rng.substream(len(cands) * replicas))
+    result = {"d_hat": geom.estimate_dimension(stat, cands, means),
               "candidates": cands, "true_d": args.true_d,
-              "target": target_src, "statistic": "tau",
-              "stat_value": geom.signed_triangle_stat(target, p),
+              "target": target_src, "statistic": "tau", "stat_value": stat,
               "calibrated_means": {str(c): means[c] for c in cands},
               "reused_from_table": reused, "table": args.table}
     return ({"n": n, "p": p, "candidates": cands, "true_d": args.true_d,

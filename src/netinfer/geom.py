@@ -34,9 +34,9 @@ compressed rows are the sorted edge array.
 Monte Carlo replicas come from graph_replica and matrix_replica.  Where
 the graph or matrix is dense these are harness.Batched: a stacked kernel
 draws a block of replicas, each from its own substream, and scores the
-block with stacked matrix products.  The single-graph samplers and
-statistics run the same kernels on a block of one, so both paths give the
-same bits.
+block with stacked matrix products.  The single-graph samplers run the
+same kernels on a block of one, and the single-graph statistics count the
+same integers, so both paths give the same bits.
 
 Sphere points and matrix ensembles come back as read-only float64 arrays.
 The two-arm experiments return harness.PowerReport with G(n, p) as the
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -65,12 +64,6 @@ ENTRY_DISTS = ("gaussian", "uniform-scaled", "rademacher")
 class TriangleMoments(NamedTuple):
     mean: float
     variance: float
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    verdict: str
-    statistic: float
 
 
 def sample_sphere(n: int, d: int, rng: RngStream) -> np.ndarray:
@@ -181,18 +174,14 @@ def signed_triangle_stat(g: Graph, p: float) -> float:
 
         Tr(B^3) = 6T - 3p(S2 - 2m) + 6p^2 (n-2) m - p^3 n(n-1)(n-2),
 
-    so tau comes from the triangle count T, the degrees and the edge count.
-    Where a matrix pays for the graph's edge count (prefers_dense),
-    T and the degrees come from one float32 product, the stacked kernel
-    run on a block of one.  Otherwise T comes from triangle_count's sparse
-    products and the degrees from the compressed rows, so a sparse graph
-    needs no n x n array.
+    so tau comes from the triangle count T, the degrees and the edge count:
+    T from triangle_count, which alone picks the dense or the sparse
+    kernel, and the degrees from the edge array, so a sparse graph needs no
+    n x n array.  The counts are integers, so the stacked kernel's tau of
+    the same matrix has the same bits.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    if prefers_dense(g.n, g.m):
-        check_dense(g.n, 4, "the signed triangle statistic")
-        return float(_tau(g.to_dense(), p))
     return float(_tau_from_counts(g.n, p, triangle_count(g), g.degrees()))
 
 
@@ -272,20 +261,17 @@ def graph_replica(n: int, p: float, stat: str,
     stacked kernel draws and scores whole blocks of replicas, with the
     values of the single-graph functions.
     """
-    score, stack_score = {
-        "tau": (lambda g: signed_triangle_stat(g, p), lambda a: _tau(a, p)),
-        "t": (lambda g: float(triangle_count(g)), _triangles),
-    }[stat]
-    if d is None:
-        def one(s): return score(sample_er(n, p, s))
-        def draw(gens): return _er_stack(n, p, gens)
-    else:
-        def one(s): return score(sample_rgg(n, p, d, s))
-        def draw(gens): return _rgg_stack(n, p, d, gens)
-    if not (0.0 < p < 1.0 and (d is None or d >= 2) and 1 <= n
+    if (0.0 < p < 1.0 and (d is None or d >= 2) and 1 <= n
             and fits_dense(n, 8) and prefers_dense(n, p * n * (n - 1) / 2)):
-        return one
-    return Batched(one, lambda gens: stack_score(draw(gens)), 8 * n * n)
+        score = {"tau": lambda a: _tau(a, p), "t": _triangles}[stat]
+        if d is None:
+            return Batched(lambda gens: score(_er_stack(n, p, gens)), 8 * n * n)
+        return Batched(lambda gens: score(_rgg_stack(n, p, d, gens)), 8 * n * n)
+    score = {"tau": lambda g: signed_triangle_stat(g, p),
+             "t": lambda g: float(triangle_count(g))}[stat]
+    if d is None:
+        return lambda s: score(sample_er(n, p, s))
+    return lambda s: score(sample_rgg(n, p, d, s))
 
 
 def matrix_replica(n: int, d: int, entry_dist: str, kind: str,
@@ -301,27 +287,14 @@ def matrix_replica(n: int, d: int, entry_dist: str, kind: str,
     same values as one matrix at a time.
     """
     score = {"tr3": _tr3, "tau": lambda w: _tau(_signs(w), 0.5)}[stat]
-
-    def one(s):
-        return float(score(sample_wishart(n, d, entry_dist=entry_dist,
-                                          kind=kind, rng=s)))
     bartlett = (kind in ("wishart", "wishart_scaled_nodiag")
                 and entry_dist == "gaussian" and d >= n)
-    if not (entry_dist in ENTRY_DISTS and d >= 1 and 1 <= n
-            and fits_dense(n, 8)
+    if (entry_dist in ENTRY_DISTS and d >= 1 and 1 <= n and fits_dense(n, 8)
             and (kind in ("goe_shifted", "goe_nodiag") or bartlett)):
-        return one
-    return Batched(one, lambda gens: score(
-        _wishart_stack(n, d, entry_dist, kind, gens)), 8 * n * n)
-
-
-def detect_geometry(g: Graph, n: int, p: float, tau_threshold: float) -> DetectionResult:
-    """Threshold test on the signed triangle statistic."""
-    if g.n != n:
-        raise ValueError("graph size does not match n")
-    stat = signed_triangle_stat(g, p)
-    verdict = "geometric" if stat >= tau_threshold else "random"
-    return DetectionResult(verdict=verdict, statistic=stat)
+        return Batched(lambda gens: score(
+            _wishart_stack(n, d, entry_dist, kind, gens)), 8 * n * n)
+    return lambda s: float(score(sample_wishart(n, d, entry_dist=entry_dist,
+                                                kind=kind, rng=s)))
 
 
 def calibrate_tau(n: int, p: float, d: int, replicas: int,
@@ -340,18 +313,16 @@ def calibrate_tau(n: int, p: float, d: int, replicas: int,
         replicas, rng))
 
 
-def estimate_dimension(g: Graph, n: int, p: float, candidates: Sequence[int],
+def estimate_dimension(stat: float, candidates: Sequence[int],
                        calibration_table: Mapping[int, float]) -> int:
-    """Nearest-calibrated-mean dimension estimate; ties prefer smaller d."""
-    if g.n != n:
-        raise ValueError("graph size does not match n")
+    """The candidate d whose calibrated mean of tau lies nearest to stat,
+    the target graph's tau; ties prefer smaller d."""
     cands = sorted(set(int(c) for c in candidates))
     if not cands:
         raise ValueError("candidates must be nonempty")
     missing = [c for c in cands if c not in calibration_table]
     if missing:
         raise ValueError(f"calibration table missing candidates {missing}")
-    stat = signed_triangle_stat(g, p)
     best, best_gap = cands[0], math.inf
     for c in cands:
         gap = abs(calibration_table[c] - stat)
@@ -469,7 +440,6 @@ def _wishart_stack(n: int, d: int, entry_dist: str, kind: str,
             W = np.empty((len(gens), n, n))
             for out, gen in zip(W, gens):
                 _entry_gram(n, d, entry_dist, gen, out)
-        W = (W + W.swapaxes(-1, -2)) / 2.0
         if kind == "wishart_scaled_nodiag":
             _diagonal(W)[...] = 0.0
             W /= math.sqrt(d)

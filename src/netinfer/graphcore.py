@@ -157,9 +157,10 @@ class Graph:
     """Undirected simple graph, frozen after construction.
 
     It holds only its sorted (m, 2) int64 edge array, so its memory and time
-    grow with the number of edges, whichever sampler drew it.  Degrees and
-    neighbours come from compressed sparse rows built from the edges on
-    first use; ``to_dense()`` builds the boolean matrix when asked.
+    grow with the number of edges, whichever sampler drew it.  Degrees are
+    counted from the edges, and neighbours come from compressed sparse rows
+    built from them on first use; ``to_dense()`` builds the boolean matrix
+    when asked.
     """
 
     __slots__ = ("m", "_n", "_edges", "_csr")
@@ -232,7 +233,7 @@ class Graph:
         return int(indptr[v + 1] - indptr[v])
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.csr()[0])
+        return np.bincount(self.edges().ravel(), minlength=self.n)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbours of v in ascending order."""
@@ -251,7 +252,7 @@ class Graph:
             n, m, e = self.n, self.m, self.edges()
             lo, hi = e[:, 0], e[:, 1]
             indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
+            np.cumsum(self.degrees(), out=indptr[1:])
             # the keys row * n + col of both orientations sort by row, then
             # by neighbour
             indices = np.empty(2 * m, dtype=np.int64)
@@ -388,20 +389,28 @@ def bernoulli_pairs(k: int, p: float, gen: np.random.Generator) -> np.ndarray:
 def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:
     """Keys i * n + j of the pairs (i < j) at the given indices of their
     row-major enumeration, where pair (i, j) has index
-    i*n - i(i+1)/2 + (j - i - 1)."""
+    i*n - i(i+1)/2 + (j - i - 1), so its key is k + (i+1)(i+2)/2.  The
+    row i is a float guess, fixed up exactly; k is overwritten with the
+    keys."""
 
     def row_start(i):
         return i * n - i * (i + 1) // 2
 
-    kf = k.astype(np.float64)
-    i = np.floor(((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * kf)) / 2.0).astype(np.int64)
-    i = np.clip(i, 0, n - 2)
+    i = k.astype(np.float64)
+    i *= -8.0
+    i += (2 * n - 1) ** 2
+    np.sqrt(i, out=i)
+    np.subtract(2 * n - 1, i, out=i)
+    i /= 2.0
+    i = np.floor(i, out=i).astype(np.int64)
+    np.clip(i, 0, n - 2, out=i)
     # float sqrt can land one row off; fix up exactly
-    too_far = row_start(i) > k
-    i[too_far] -= 1
-    too_near = k >= row_start(i + 1)
-    i[too_near] += 1
-    return i * n + (k - row_start(i) + i + 1)
+    i[row_start(i) > k] -= 1
+    i[k >= row_start(i + 1)] += 1
+    # k + (i + 1)(i + 2)/2, in place
+    i += 1
+    k += i * (i + 1) // 2
+    return k
 
 
 def pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

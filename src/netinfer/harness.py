@@ -42,19 +42,18 @@ class PowerReport:
 class Batched(NamedTuple):
     """A replica function with a stacked kernel.
 
-    Called on a stream it is the plain replica function `one`.  replicate
-    instead hands `block` the generators of a run of consecutive replicas
-    (a graphcore.SubstreamGenerators) and takes back one value per
-    replica, equal to what `one` gives on each stream.  `nbytes`, the size
-    of one replica's largest array, sets how many replicas share a block.
+    replicate hands `block` the generators of a run of consecutive
+    replicas (a graphcore.SubstreamGenerators) and takes back one value per
+    replica.  Called on a stream it is a block of one, that stream's
+    generator.  `nbytes`, the size of one replica's largest array, sets how
+    many replicas share a block.
     """
 
-    one: Callable[[RngStream], float]
     block: Callable[[SubstreamGenerators], np.ndarray]
     nbytes: int
 
     def __call__(self, stream: RngStream) -> float:
-        return self.one(stream)
+        return float(self.block((stream.generator(),))[0])
 
 
 def binomial_se(p: float, n: int) -> float:

@@ -335,8 +335,10 @@ def pairwise_error(lambda_i, lambda_j, p_i: float, p_j: float) -> PairwiseError:
 
     The lattice is truncated per coordinate at mu + 12 sqrt(mu) + 30 with
     mu the larger of the two means; the reported tail_bound dominates
-    everything the truncation drops.  A lattice of float64 cells that
-    check_dense refuses raises DenseSizeError before anything is built.
+    everything the truncation drops.  The two float64 lattices of log terms
+    are exponentiated, scaled and compared in place, so with the one being
+    built they hold at most 24 bytes a cell; a lattice that check_dense
+    refuses at that size raises DenseSizeError before anything is built.
     """
     li = np.atleast_1d(np.asarray(lambda_i, dtype=np.float64))
     lj = np.atleast_1d(np.asarray(lambda_j, dtype=np.float64))
@@ -350,7 +352,7 @@ def pairwise_error(lambda_i, lambda_j, p_i: float, p_j: float) -> PairwiseError:
         return PairwiseError(0.0, 0.0)
     mu = np.maximum(li, lj)
     limits = [math.ceil(x) for x in (mu + 12.0 * np.sqrt(mu) + 30.0).tolist()]
-    check_dense(math.prod(x + 1 for x in limits[:-1]), 8,
+    check_dense(math.prod(x + 1 for x in limits[:-1]), 24,
                 "the truncated lattice", limits[-1] + 1)
     log_i = [_poisson_logpmf(nl, l) for nl, l in zip(limits, li)]
     log_j = [_poisson_logpmf(nl, l) for nl, l in zip(limits, lj)]
@@ -358,7 +360,10 @@ def pairwise_error(lambda_i, lambda_j, p_i: float, p_j: float) -> PairwiseError:
     for axis in range(1, len(limits)):
         si = (si[:, None] + log_i[axis][None, :]).ravel()
         sj = (sj[:, None] + log_j[axis][None, :]).ravel()
-    value = float(np.minimum(p_i * np.exp(si), p_j * np.exp(sj)).sum())
+    for s, prior in ((si, p_i), (sj, p_j)):
+        np.exp(s, out=s)
+        s *= prior
+    value = float(np.minimum(si, sj, out=si).sum())
     tail = min(p_i * pdtrc(limits, li).sum(), p_j * pdtrc(limits, lj).sum())
     return PairwiseError(value, float(tail))
 

@@ -307,6 +307,40 @@ def test_geom_detect_reads_target_file(capsys, tmp_path):
     assert rec["result"]["verdict"] == "random"
 
 
+def test_geom_detect_verdict_is_tau_at_or_past_the_threshold(capsys, tmp_path):
+    """At n = 3, p = 1e-18 every graph of both arms is empty, so both arms
+    are the constant tau = -p^3 and the threshold is that value.  The empty
+    target sits on it and reads geometric; the path (tau = -p + 2p^2 - p^3)
+    lies below it and reads random; the triangle lies above it."""
+    p = 1e-18
+    targets = {"empty": ("3 0\n", "geometric"),
+               "path": ("3 2\n1 2\n2 3\n", "random"),
+               "triangle": ("3 3\n1 2\n1 3\n2 3\n", "geometric")}
+    stats = {}
+    for name, (text, verdict) in targets.items():
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(text)
+        res = run_record(capsys, "geom", "detect", "--n", "3", "--p", str(p),
+                         "--d", "2", "--replicas", "100", "--seed", "3",
+                         "--in", str(graph))["result"]
+        assert res["calibration"]["threshold"] == -(p * p) * p
+        assert res["verdict"] == verdict, name
+        stats[name] = res["stat_value"]
+    assert stats["path"] < stats["empty"] == -(p * p) * p < stats["triangle"]
+
+
+@pytest.mark.parametrize("command", [
+    ("geom", "detect", "--d", "2"),
+    ("geom", "dimest", "--candidates", "2,3")])
+def test_target_file_of_another_size_exits_one(capsys, tmp_path, command):
+    graph = tmp_path / "triangle.txt"
+    graph.write_text("3 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run(capsys, *command, "--n", "4", "--p", "0.5",
+                         "--replicas", "100", "--seed", "1", "--in", str(graph))
+    assert (code, out) == (1, "")
+    assert "graph size does not match n" in err
+
+
 def test_geom_detect_jobs_do_not_change_results(capsys):
     recs = [run_record(capsys, "geom", "detect", "--n", "30", "--p", "0.5",
                        "--d", "2", "--replicas", "100", "--seed", "12",

@@ -256,14 +256,15 @@ def test_geom_detect_record_equals_library(capsys):
     report = power_from_samples(*two_arm(_tau_arm(20, 0.5), _tau_arm(20, 0.5, 3),
                                          100, RngStream(4)))
     target = geom.sample_rgg(20, 0.5, 3, RngStream(4).substream(200))
-    detection = geom.detect_geometry(target, 20, 0.5, report.threshold)
+    stat = geom.signed_triangle_stat(target, 0.5)
     expect = _power_fields(report)
     calibration = {k: expect.pop(k) for k in
                    ("threshold", "mean_null", "mean_alt", "sd_null", "sd_alt")}
     assert {k: res[k] for k in expect} == expect
     assert res["calibration"] == {**calibration, "replicas": 100}
-    assert res["verdict"] == detection.verdict
-    assert res["stat_value"] == detection.statistic
+    assert res["verdict"] == ("geometric" if stat >= report.threshold
+                              else "random")
+    assert res["stat_value"] == stat
 
 
 def test_geom_dimest_record_equals_library(capsys):
@@ -276,8 +277,9 @@ def test_geom_dimest_record_equals_library(capsys):
              for i, d in enumerate([2, 4])}
     target = geom.sample_rgg(16, 0.5, 2, rng.substream(40))
     assert res["calibrated_means"] == {str(d): m for d, m in means.items()}
-    assert res["d_hat"] == geom.estimate_dimension(target, 16, 0.5, [2, 4], means)
-    assert res["stat_value"] == geom.signed_triangle_stat(target, 0.5)
+    stat = geom.signed_triangle_stat(target, 0.5)
+    assert res["d_hat"] == geom.estimate_dimension(stat, [2, 4], means)
+    assert res["stat_value"] == stat
 
 
 def test_geom_calibrate_record_and_table_equal_library(capsys, tmp_path):

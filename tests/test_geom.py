@@ -15,7 +15,6 @@ from oracles import (chunked_gram, dense_adj, direct_tau, integer_signs,
 from netinfer import geom
 from netinfer.geom import (
     calibrate_tau,
-    detect_geometry,
     estimate_dimension,
     h_map,
     rgg_from_points,
@@ -1027,15 +1026,6 @@ def test_h_map_wishart_matches_rgg_law():
 # ----------------------------------------------------------- detection
 
 
-def test_detect_geometry_verdicts():
-    tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    assert detect_geometry(tri, 3, 0.5, 0.1).verdict == "geometric"
-    assert detect_geometry(tri, 3, 0.5, 0.2).verdict == "random"
-    assert detect_geometry(tri, 3, 0.5, 0.1).statistic == pytest.approx(0.125)
-    with pytest.raises(ValueError, match="does not match"):
-        detect_geometry(tri, 4, 0.5, 0.1)
-
-
 def test_calibrate_tau_requires_replicas():
     with pytest.raises(ValueError, match="at least 100 replicas"):
         calibrate_tau(20, 0.5, 2, 50, RngStream(0, 0))
@@ -1059,12 +1049,11 @@ def test_detection_low_dimension_separates():
     n, reps = 64, 400
     cal = calibrate_tau(n, 0.5, 2, reps, RngStream(31, 0))
     hits = sum(
-        detect_geometry(sample_rgg(n, 0.5, 2, RngStream(31, 0).substream(2 * reps + i)),
-                        n, 0.5, cal.threshold).verdict == "geometric"
+        signed_triangle_stat(sample_rgg(n, 0.5, 2, RngStream(31, 0).substream(2 * reps + i)),
+                             0.5) >= cal.threshold
         for i in range(200))
     false = sum(
-        detect_geometry(sample_er(n, 0.5, RngStream(32, i)),
-                        n, 0.5, cal.threshold).verdict == "geometric"
+        signed_triangle_stat(sample_er(n, 0.5, RngStream(32, i)), 0.5) >= cal.threshold
         for i in range(200))
     assert hits / 200 >= 0.95
     assert false / 200 <= 0.05
@@ -1136,7 +1125,7 @@ def test_estimate_dimension_well_separated():
     for i in range(200):
         g = sample_rgg(n, p, 2 if i % 2 == 0 else 2048, RngStream(36, i))
         truth = 2 if i % 2 == 0 else 2048
-        correct += estimate_dimension(g, n, p, cands, table) == truth
+        correct += estimate_dimension(signed_triangle_stat(g, p), cands, table) == truth
     assert correct / 200 >= 0.95
 
 
@@ -1149,7 +1138,7 @@ def test_estimate_dimension_indistinguishable_pair():
     for i in range(100):
         truth = cands[i % 2]
         g = sample_rgg(n, p, truth, RngStream(38, i))
-        correct += estimate_dimension(g, n, p, cands, table) == truth
+        correct += estimate_dimension(signed_triangle_stat(g, p), cands, table) == truth
     assert 0.3 <= correct / 100 <= 0.7
 
 
@@ -1161,7 +1150,7 @@ def test_estimate_dimension_moderate_gap():
     for i in range(100):
         truth = cands[i % 2]
         g = sample_rgg(n, p, truth, RngStream(40, i))
-        correct += estimate_dimension(g, n, p, cands, table) == truth
+        correct += estimate_dimension(signed_triangle_stat(g, p), cands, table) == truth
     assert correct / 100 >= 0.9
 
 
@@ -1169,17 +1158,16 @@ def test_estimate_dimension_tie_prefers_smaller():
     tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     stat = signed_triangle_stat(tri, 0.5)
     table = {2: stat + 0.5, 7: stat - 0.5}
-    assert estimate_dimension(tri, 3, 0.5, [2, 7], table) == 2
+    assert estimate_dimension(stat, [2, 7], table) == 2
 
 
 def test_estimate_dimension_validation():
     tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    stat = signed_triangle_stat(tri, 0.5)
     with pytest.raises(ValueError, match="nonempty"):
-        estimate_dimension(tri, 3, 0.5, [], {})
+        estimate_dimension(stat, [], {})
     with pytest.raises(ValueError, match="missing candidates \\[7\\]"):
-        estimate_dimension(tri, 3, 0.5, [2, 7], {2: 0.0})
-    with pytest.raises(ValueError, match="does not match"):
-        estimate_dimension(tri, 5, 0.5, [2], {2: 0.0})
+        estimate_dimension(stat, [2, 7], {2: 0.0})
 
 
 # ------------------------------------------------------ sparse regime

@@ -97,6 +97,48 @@ def test_the_check_sees_size_names(tmp_path):
     assert _size_names(probe) == ["probe.py:2 assigns _BLOCK_BYTES"]
 
 
+# a single graph takes the dense or the sparse kernel in one place:
+# geom.triangle_count is the package's only caller of Graph.to_dense()
+DENSE_CALLER = ("geom.py", "triangle_count")
+
+
+def _to_dense_calls(path: Path) -> list[str]:
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "to_dense"
+                    and (path.name, owner) != DENSE_CALLER):
+                found.append(f"{path.name}:{child.lineno} calls .to_dense() "
+                             f"in {owner}")
+            visit(child, owner)
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_triangle_count_builds_a_graph_matrix():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _to_dense_calls(path)] == []
+
+
+def test_the_check_sees_to_dense_calls(tmp_path):
+    probe = tmp_path / "geom.py"
+    probe.write_text("def triangle_count(g):\n"
+                     "    return g.to_dense()\n"
+                     "def signed_triangle_stat(g, p):\n"
+                     "    return _tau(g.to_dense(), p)\n"
+                     "ADJ = G.to_dense()\n", encoding="utf-8")
+    assert _to_dense_calls(probe) == [
+        "geom.py:4 calls .to_dense() in signed_triangle_stat",
+        "geom.py:5 calls .to_dense() in None"]
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     # scipy.stats takes about half a second and 45 MiB to import, and
     # scipy.sparse.csgraph about 60 ms; the functions that need them

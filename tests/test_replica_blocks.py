@@ -105,7 +105,7 @@ def _block_sizes(nbytes):
     def block(gens):
         sizes.append(len(gens))
         return np.array([float(next(iter(gens)).random())] + [0.0] * (len(gens) - 1))
-    return sizes, Batched(lambda s: 0.0, block, nbytes)
+    return sizes, Batched(block, nbytes)
 
 
 def test_a_replica_larger_than_the_cap_is_a_block_of_one():
@@ -134,7 +134,7 @@ def test_blocks_run_in_order_on_the_calling_thread(jobs):
         threads.append(threading.get_ident())
         starts.append(gens.start)
         return np.array([gen.random() for gen in gens])
-    fn = Batched(lambda s: 0.0, block, harness.CACHE_BYTES // 7)
+    fn = Batched(block, harness.CACHE_BYTES // 7)
     vals = replicate(fn, 30, RngStream(96), jobs=jobs)
     assert threads == [threading.get_ident()] * 5
     assert starts == [0, 6, 12, 18, 24]

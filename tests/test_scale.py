@@ -15,8 +15,8 @@ import tracemalloc
 import pytest
 
 from checks import child_env
-from netinfer.graphcore import RngStream
-from netinfer.sbm import SbmParams, genie_recover, sample_sbm
+from netinfer.graphcore import RngStream, bernoulli_pairs
+from netinfer.sbm import SbmParams, genie_recover, pairwise_error, sample_sbm
 
 _WRAPPER = """
 import json, resource, subprocess, sys
@@ -202,3 +202,33 @@ def test_block_model_phases_stay_within_40_bytes_an_edge():
         tracemalloc.stop()
     per_edge = {name: peak / lg.graph.m for name, peak in peaks.items()}
     assert max(per_edge.values()) <= 40, per_edge
+
+
+def _peak(call) -> tuple:
+    """call()'s result and the most memory it held at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_skip_sampled_pair_keys_take_at_most_44_bytes_a_pair():
+    """G(10^5, 3e-4) has about 1.5 * 10^6 edges.  Drawing their keys holds
+    the positions, which become the keys in place, beside the row of each
+    pair and its fix-ups: at most 44 bytes a pair (50 when the keys were a
+    new array)."""
+    keys, peak = _peak(lambda: bernoulli_pairs(100_000, 3e-4, RngStream(1).generator()))
+    assert keys.size > 10**6
+    assert peak / keys.size <= 44, peak / keys.size
+
+
+def test_poisson_error_lattice_takes_at_most_24_bytes_a_cell():
+    """pairwise_error's 4-dimensional lattice at means near 1 has 45^4
+    cells.  Its two lattices of log terms are exponentiated, scaled and
+    compared in place, so it holds at most the 24 bytes a cell that
+    check_dense counts (about 40 when each step made a new array)."""
+    value, peak = _peak(lambda: pairwise_error([1.0] * 4, [1.1] * 4, 0.5, 0.5))
+    assert 0.0 < value.value < 1.0
+    assert peak / 45 ** 4 <= 24, peak / 45 ** 4
