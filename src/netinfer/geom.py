@@ -23,11 +23,12 @@ time.
 Random graphs are drawn as matrices only when graphcore.prefers_dense
 says they pay for the expected edge count; otherwise G(n, p) is drawn by
 geometric skipping over the pairs and G(n, p, d) from sorted angles
-(d = 2) or row-chunked Gram products, as int64 edge keys lo * n + hi.
-Where few pairs lie within a proven rounding margin of the threshold,
-those products are float32 and only screen the pairs; the pairs inside
-the margin are decided in float64, so the edge rule is the float64 one up
-to its summation order.  Otherwise they are float64.  Past the same rule
+(d = 2) or cache-sized tiles of the Gram matrix, as int64 edge keys
+lo * n + hi, so memory is the points plus a few MiB.  Where few pairs lie
+within a proven rounding margin of the threshold, those products are
+float32 and only screen the pairs; the pairs inside the margin are
+decided in float64, so the edge rule is the float64 one up to its
+summation order.  Otherwise they are float64.  Past the same rule
 the triangle count multiplies the strict upper triangle, whose
 compressed rows are the sorted edge array.
 
@@ -114,7 +115,7 @@ def rgg_from_points(coords: np.ndarray, p: float) -> Graph:
         return Graph._trusted(_dense_rgg(coords @ coords.T, t))
     if d == 2 and t > 0.0:
         return _rgg_circle(coords, t)
-    return Graph._from_keys(n, _edges_by_chunks(coords, t))
+    return Graph._from_keys(n, _edges_by_tiles(coords, t))
 
 
 def sample_rgg(n: int, p: float, d: int, rng: RngStream) -> Graph:
@@ -386,22 +387,27 @@ def _rgg_stack(n: int, p: float, d: int, gens) -> np.ndarray:
 
 def _sphere_stack(n: int, d: int, gens) -> np.ndarray:
     """n uniform points on S^{d-1} per generator: normalized standard
-    Gaussians.  A replica whose squared entries are all positive has
-    positive row norms; any other draws each all-zero row again from its
-    own generator before the next replica is drawn.  The whole block is
-    normalized at the end."""
+    Gaussians.  A nonzero normal is about 1e-17 or larger, so its square
+    does not underflow: a replica with no zero entry has positive row
+    norms, and any other draws each all-zero row again from its own
+    generator before the next replica is drawn.  The rows of the whole
+    block are then normalized a CACHE_BYTES block of rows at a time, their
+    squares summed in one scratch array."""
     X = np.empty((len(gens), n, d))
-    squares = np.empty_like(X)
-    for x, sq, gen in zip(X, squares, gens):
+    for x, gen in zip(X, gens):
         gen.standard_normal(out=x)
-        np.square(x, out=sq)
-        if np.count_nonzero(sq) == sq.size:
+        if np.count_nonzero(x) == x.size:
             continue
-        while (bad := np.add.reduce(sq, axis=-1) == 0.0).any():
+        while (bad := ~x.any(axis=-1)).any():
             x[bad] = gen.standard_normal((int(bad.sum()), d))
-            np.square(x, out=sq)
-    norms = np.add.reduce(squares, axis=-1, keepdims=True)
-    X /= np.sqrt(norms, out=norms)
+    rows = X.reshape(-1, d)
+    step = max(1, CACHE_BYTES // (8 * d))
+    squares = np.empty((min(step, len(rows)), d))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        sq = np.square(block, out=squares[:len(block)])
+        norms = np.add.reduce(sq, axis=-1, keepdims=True)
+        block /= np.sqrt(norms, out=norms)
     return X
 
 
@@ -644,15 +650,26 @@ def _rgg_circle(coords: np.ndarray, t: float) -> Graph:
     return Graph._from_keys(n, pair_keys(n, order[i_flat], order[j_flat]))
 
 
-def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
-    """Ascending int64 keys i * n + j of the geometric graph on the rows x_i
-    of coords: its edges are the pairs i < j of float64 inner product >= t.
+def _edges_by_tiles(coords: np.ndarray, t: float) -> np.ndarray:
+    """Int64 keys i * n + j, in tile order, of the geometric graph on the
+    rows x_i of coords: its edges are the pairs i < j of float64 inner
+    product >= t.
 
-    Rows are taken in chunks of about 2e6 Gram entries; a chunk is
-    multiplied only with the columns from its first row on, so the
-    products cover the upper triangle.  Where that pays (see below), the
-    products are float32 and only screen the pairs; float64 decides the
-    ones near t.
+    The upper triangle of the Gram matrix is taken a tile at a time: a
+    block of rows against a block of columns from the row block's first
+    row on, without the rows that have no pair i < j in the tile.  Where
+    that pays (see below), a tile is the float32 product of float32 copies
+    of its two blocks and only screens the pairs; float64 decides the ones
+    near t.  The copy of a row block serves all of its tiles.
+
+    Tile sides.  A screened tile's Gram block, its mask and the float32
+    copies of its row and column blocks take at most 7 CACHE_BYTES: a
+    column block holds at most CACHE_BYTES (and at most 256 rows), the
+    row block as many rows as the rest allows (at most 2048, a 2 MiB Gram
+    block).  Each column block is copied once per row block, so at large
+    d the tall row block keeps the copies few, and at small d the 2 MiB
+    Gram block keeps the tiles few.  Unscreened tiles copy nothing and
+    take 2048 x 256 float64 products.
 
     The screen's margin.  Let u = 2^-24 (float32 unit roundoff) and
     s = max_i |x_i|^2.  Rounding x_i and x_j to float32 moves their inner
@@ -669,18 +686,17 @@ def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
     are rounded outward.
 
     Only the pairs in between are computed again in float64, a batch of
-    rows at a time whose two gathered blocks hold at most 4 MiB.  Such a
-    pair costs about as much as 100 entries of a float64 chunk product,
-    and the margin grows like d while the spread of the inner products
-    shrinks like 1/sqrt(d).  So the chunks are screened only while the
-    share of uniform sphere pairs within delta of t, from the law of the
-    inner product, is at most 1/512, and (d + 2) u <= 1/2; otherwise they
-    are float64 products.  A screened chunk with more than 1/512 of its
-    entries in the margin is multiplied again in float64, and so are the
-    chunks after it.  The edges are those of the float64 rule up to its
-    summation order: a pair within float64 rounding of t can come out
-    otherwise than from a float64 product of the whole chunk.  The
-    float32 copy of the points is half their size.
+    pairs at a time whose two gathered blocks of rows hold at most
+    CACHE_BYTES.  Such a pair costs about as much as 100 entries of a
+    float64 tile product, and the margin grows like d while the spread of
+    the inner products shrinks like 1/sqrt(d).  So the tiles are screened
+    only while the share of uniform sphere pairs within delta of t, from
+    the law of the inner product, is at most 1/512, and (d + 2) u <= 1/2;
+    otherwise they are float64 products.  A screened tile with more than
+    1/512 of its entries in the margin is multiplied again in float64, and
+    so are the tiles after it.  The edges are those of the float64 rule up
+    to its summation order: a pair within float64 rounding of t can come
+    out otherwise than from a float64 product of its whole tile.
     """
     n, d = coords.shape
     unit = 2.0 ** -24
@@ -688,43 +704,51 @@ def _edges_by_chunks(coords: np.ndarray, t: float) -> np.ndarray:
     a = (d - 1) / 2.0
     band = np.diff(betainc(a, a, np.clip([(1 + t - delta) / 2,
                                            (1 + t + delta) / 2], 0.0, 1.0)))
+    rows, cols = 2048, 256
     x32 = None
     if (d + 2) * unit <= 0.5 and 512 * band[0] <= 1.0:
         delta *= float(np.einsum("ij,ij->i", coords, coords).max())
         lo = np.nextafter(np.float32(t - delta), np.float32(-np.inf))
         hi = np.nextafter(np.float32(t + delta), np.float32(np.inf))
-        x32 = coords.astype(np.float32)
-    chunk = max(1, 2_000_000 // n)
-    batch = max(1, 4 * CACHE_BYTES // (16 * d))
+        cols = max(1, min(cols, CACHE_BYTES // (4 * d)))
+        rows = max(1, min(rows, (7 * CACHE_BYTES - 4 * cols * d)
+                          // (4 * d + 5 * cols)))
+        x32 = np.empty((min(rows, n), d), dtype=np.float32)
+    batch = max(1, CACHE_BYTES // (16 * d))
     keys = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for r0 in range(0, n, rows):
+        block = coords[r0:r0 + rows]
         if x32 is not None:
-            gram = x32[start:stop] @ x32[start:].T
-            flat, rows, cols = _upper_pairs(gram >= lo, start)
-            near = np.flatnonzero(gram.ravel()[flat] < hi)
-            wide = 512 * near.size > gram.size
-            del gram  # before the float64 rows are gathered
-            if not wide:
-                keep = np.ones(flat.size, dtype=bool)
-                for b in range(0, near.size, batch):
-                    k = near[b:b + batch]
-                    keep[k] = np.einsum("ij,ij->i", coords[rows[k]],
-                                        coords[cols[k]]) >= t
-                keys.append(rows[keep] * n + cols[keep])
-                continue
-            x32 = None
-        _, rows, cols = _upper_pairs(coords[start:stop] @ coords[start:].T >= t,
-                                     start)
-        keys.append(rows * n + cols)
+            np.copyto(x32[:len(block)], block)
+        for c0 in range(r0, n, cols):
+            c1 = min(c0 + cols, n)
+            m = min(len(block), c1 - r0)  # rows from c1 on have no pair here
+            if x32 is not None:
+                gram = x32[:m] @ coords[c0:c1].astype(np.float32).T
+                flat, i, j = _upper_pairs(gram >= lo, r0, c0)
+                near = np.flatnonzero(gram.ravel()[flat] < hi)
+                wide = 512 * near.size > gram.size
+                del gram  # before the float64 rows are gathered
+                if not wide:
+                    keep = np.ones(flat.size, dtype=bool)
+                    for b in range(0, near.size, batch):
+                        k = near[b:b + batch]
+                        keep[k] = np.einsum("ij,ij->i", coords[i[k]],
+                                            coords[j[k]]) >= t
+                    keys.append(i[keep] * n + j[keep])
+                    continue
+                x32 = None
+            _, i, j = _upper_pairs(block[:m] @ coords[c0:c1].T >= t, r0, c0)
+            keys.append(i * n + j)
     return np.concatenate(keys)
 
 
-def _upper_pairs(mask: np.ndarray, start: int):
-    """Flat indices into the (rows, columns from start on) block mask of
-    its true entries above the diagonal, with their global rows and
-    columns."""
+def _upper_pairs(mask: np.ndarray, r0: int, c0: int):
+    """Flat indices into the tile mask of rows r0.. and columns c0.. of its
+    true entries above the diagonal, with their global rows and columns."""
     flat = np.flatnonzero(mask)
-    rows, cols = np.divmod(flat, mask.shape[1])
-    upper = cols > rows
-    return flat[upper], rows[upper] + start, cols[upper] + start
+    i, j = np.divmod(flat, mask.shape[1])
+    i += r0
+    j += c0
+    upper = j > i
+    return flat[upper], i[upper], j[upper]

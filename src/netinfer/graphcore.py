@@ -107,12 +107,20 @@ class SubstreamGenerators:
 DENSE_BYTES_LIMIT = 1 << 30
 
 # A temporary that a loop refills (a block of replicas in harness.replicate,
-# a Wishart entry chunk in geom, a block of urn uniforms in urns) holds about
-# this many bytes, so it stays in a core's 2 MiB L2 cache (2-vCPU Xeon) and
-# memory does not grow with the loop.  Timed there: Wishart chunks of 512 KiB
-# and 1 MiB tied at n = 32, d = 1.6e5 (256 KiB lost on two threads, 2 MiB on
-# one), packed coins tied from 512 KiB to 4 MiB, and no replica-block cap
-# from 128 KiB to 2 MiB (n = 30..64) won every command by more than noise.
+# a Wishart entry chunk or a block of sphere rows in geom, a block of urn
+# uniforms in urns) holds about this many bytes, so it stays in a core's
+# 2 MiB L2 cache (2-vCPU Xeon) and memory does not grow with the loop.
+# Timed there: Wishart chunks of 512 KiB and 1 MiB tied at n = 32,
+# d = 1.6e5 (256 KiB lost on two threads, 2 MiB on one), packed coins tied
+# from 512 KiB to 4 MiB, and no replica-block cap from 128 KiB to 2 MiB
+# (n = 30..64) won every command by more than noise.  The sparse geometric
+# graph's Gram tiles (geom._edges_by_tiles) take a few of these: at n = 3000
+# and 20000, d = 3 and 512, 2048 x 256 tiles took 0.71-0.94 of the time of
+# 2*10^6-entry row chunks, and 1024 x 512, 4096 x 128 or whole-column
+# strips were no faster; 512 x 512 tiles took 1.0-1.3 times as long at
+# d = 3.  At d = 4096 only 376 x 64 tiles fit in 7 MiB, and sample_rgg at
+# n = 3000 took about 1.17 times as long as with row chunks of a float32
+# copy of all the points (48 MiB).
 CACHE_BYTES = 1 << 20
 
 # Samplers and triangle statistics take whole n x n boolean matrices (n^2
@@ -383,19 +391,29 @@ def bernoulli_positions(total: int, p: float, gen: np.random.Generator) -> np.nd
 def bernoulli_pairs(k: int, p: float, gen: np.random.Generator) -> np.ndarray:
     """Bernoulli(p) subset of the C(k, 2) pairs (i < j) of k vertices, as
     their ascending int64 keys i * k + j."""
+    i, j = bernoulli_pair_ends(k, p, gen)
+    i *= k
+    i += j
+    return i
+
+
+def bernoulli_pair_ends(k: int, p: float,
+                        gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of bernoulli_pairs, in the same order, as int64 arrays of
+    their rows i and columns j."""
     return _linear_to_pair(bernoulli_positions(k * (k - 1) // 2, p, gen), k)
 
 
-def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:
-    """Keys i * n + j of the pairs (i < j) at the given indices of their
-    row-major enumeration, where pair (i, j) has index
-    i*n - i(i+1)/2 + (j - i - 1), so its key is k + (i+1)(i+2)/2.  The
-    row i is a float guess, fixed up exactly; k is overwritten with the
-    keys."""
+def _linear_to_pair(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the pairs (i < j) of n vertices at the given
+    int64 indices of their row-major enumeration, where row i starts at
+    index i*n - i(i+1)/2 = i(2n - 1 - i)/2.  The row is a float guess,
+    fixed up exactly; k is overwritten with the columns j.
 
-    def row_start(i):
-        return i * n - i * (i + 1) // 2
-
+    Near the end of a long enumeration the guess can miss by many rows
+    (the square root of a difference of two numbers near 4n^2), so the
+    fix-ups repeat, on the indices still outside their row, until none
+    is."""
     i = k.astype(np.float64)
     i *= -8.0
     i += (2 * n - 1) ** 2
@@ -404,13 +422,27 @@ def _linear_to_pair(k: np.ndarray, n: int) -> np.ndarray:
     i /= 2.0
     i = np.floor(i, out=i).astype(np.int64)
     np.clip(i, 0, n - 2, out=i)
-    # float sqrt can land one row off; fix up exactly
-    i[row_start(i) > k] -= 1
-    i[k >= row_start(i + 1)] += 1
-    # k + (i + 1)(i + 2)/2, in place
-    i += 1
-    k += i * (i + 1) // 2
-    return k
+    # k becomes the column i + 1 + (k - row start) in the guessed row
+    start = np.subtract(2 * n - 1, i)
+    start *= i
+    start //= 2
+    k -= start
+    del start
+    k += i
+    k += 1
+    # a guess past the true row gives j <= i, one short of it j >= n; the
+    # same index in row i - 1 has column j + n - 1 - i
+    late = np.flatnonzero(k <= i)
+    while late.size:
+        i[late] -= 1
+        k[late] += n - 2 - i[late]
+        late = late[k[late] <= i[late]]
+    early = np.flatnonzero(k >= n)
+    while early.size:
+        k[early] -= n - 2 - i[early]
+        i[early] += 1
+        early = early[k[early] >= n]
+    return i, k
 
 
 def pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

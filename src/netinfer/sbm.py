@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
-from .graphcore import (Graph, RngStream, bernoulli_pairs, bernoulli_positions,
-                        check_dense, pair_keys)
+from .graphcore import (Graph, RngStream, bernoulli_pair_ends,
+                        bernoulli_positions, check_dense, pair_keys)
 
 REGIMES = ("constant", "logarithmic", "linear")
 
@@ -142,17 +142,33 @@ def sample_sbm(n: int, params: SbmParams, rng: RngStream) -> LabeledGraph:
     gen = rng.generator()
     labels = gen.choice(params.k, size=n, p=params.p)
     members = [np.nonzero(labels == a)[0] for a in range(params.k)]
-    keys = []
-    for a, ma in enumerate(members):
-        i, j = np.divmod(bernoulli_pairs(ma.size, probs[a, a], gen), ma.size)
-        keys.append(pair_keys(n, ma[i], ma[j]))
-        for b in range(a + 1, params.k):
-            mb = members[b]
-            pos = bernoulli_positions(ma.size * mb.size, probs[a, b], gen)
-            i, j = np.divmod(pos, mb.size)
-            keys.append(pair_keys(n, ma[i], mb[j]))
-    keys = np.concatenate(keys)
+    keys = np.concatenate([
+        _block_pair_keys(n, members[a], members[b], probs[a, b], gen)
+        for a in range(params.k) for b in range(a, params.k)])
     return LabeledGraph(graph=Graph._from_keys(n, keys), labels=labels)
+
+
+def _block_pair_keys(n: int, ma: np.ndarray, mb: np.ndarray, p: float,
+                     gen: np.random.Generator) -> np.ndarray:
+    """Keys lo * n + hi of a Bernoulli(p) subset, drawn by skipping, of the
+    pairs ma[i] < ma[j] when mb is ma, or of the pairs (ma[i], mb[j])
+    otherwise; ma and mb ascend.  The positions become rows and columns,
+    then vertices and keys, in place."""
+    if mb is ma:
+        i, j = bernoulli_pair_ends(ma.size, p, gen)
+    else:
+        j = bernoulli_positions(ma.size * mb.size, p, gen)
+        i = np.empty_like(j)
+        np.divmod(j, mb.size, out=(i, j))
+    # mode "clip" fills out in place; every index is in range
+    np.take(ma, i, out=i, mode="clip")
+    np.take(mb, j, out=j, mode="clip")
+    if mb is not ma:
+        return pair_keys(n, i, j)
+    # i < j, so ma[i] is the lower end
+    i *= n
+    i += j
+    return i
 
 
 def community_profiles(params: SbmParams) -> list[np.ndarray]:

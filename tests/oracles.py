@@ -35,6 +35,16 @@ def dense_adj(n: int, edges) -> np.ndarray:
     return adj
 
 
+def exact_pair(index: int, n: int) -> tuple[int, int]:
+    """Row i and column j of the pair at `index` of the row-major
+    enumeration of the pairs i < j < n, in Python integers.  Counted from
+    the end, the rows from i on hold m(m + 1)/2 pairs with m = n - 1 - i,
+    so an integer square root of the pairs after this one finds m."""
+    after = n * (n - 1) // 2 - 1 - index
+    m = (1 + math.isqrt(8 * after + 1)) // 2
+    return n - 1 - m, n - 1 - (after - m * (m - 1) // 2)
+
+
 def dense_bfs(adj: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
     """Queue BFS scanning dense rows; neighbours join in ascending order."""
     n = adj.shape[0]

@@ -9,9 +9,9 @@ from scipy import integrate
 from scipy.special import betainc, betaincinv
 
 from checks import assert_mean_close, assert_prop_close, assert_rel_close
-from oracles import (chunked_gram, dense_adj, direct_tau, integer_signs,
-                     loop_entries, loop_er_uniform, loop_sphere, loop_tau,
-                     loop_triangles, loop_wishart)
+from oracles import (chunked_gram, dense_adj, direct_tau, exact_pair,
+                     integer_signs, loop_entries, loop_er_uniform, loop_sphere,
+                     loop_tau, loop_triangles, loop_wishart)
 from netinfer import geom
 from netinfer.geom import (
     calibrate_tau,
@@ -39,7 +39,7 @@ from netinfer.geom import (
     _triangles,
     _wishart_stack,
 )
-from netinfer.graphcore import (DenseSizeError, Graph, RngStream,
+from netinfer.graphcore import (CACHE_BYTES, DenseSizeError, Graph, RngStream,
                                 SubstreamGenerators, Tree, _linear_to_pair,
                                 bernoulli_pairs, bernoulli_positions,
                                 prefers_dense)
@@ -108,6 +108,21 @@ def test_sphere_stack_draws_zero_rows_again(index, times):
     X = _sphere_stack(5, 3, gens())
     for x, gen in zip(X, gens()):
         assert x.tobytes() == loop_sphere(5, 3, gen).tobytes()
+
+
+def test_sphere_points_take_one_scratch_block_beside_them():
+    """The row norms are summed a CACHE_BYTES block of rows at a time in
+    one scratch array, so drawing the points takes little more than the
+    points: 1.1 MiB beside a (3000, 512) draw of 11.7 MiB, where an array
+    of the squares made it 11.8 MiB."""
+    tracemalloc.start()
+    try:
+        pts = sample_sphere(3000, 512, RngStream(49))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # besides the scratch: a block's norms and numpy's 64 KiB ufunc buffer
+    assert peak <= pts.nbytes + CACHE_BYTES + 2 ** 17, peak - pts.nbytes
 
 
 def test_n_by_d_draws_are_refused_before_allocation():
@@ -278,24 +293,25 @@ def test_rgg_circle_edges_are_what_from_edges_builds(n, p, seed):
 
 
 @pytest.fixture
-def chunk_calls(monkeypatch):
-    """The calls made to geom._edges_by_chunks while the test runs."""
+def tile_calls(monkeypatch):
+    """The calls made to geom._edges_by_tiles while the test runs."""
     calls = []
-    chunked = geom._edges_by_chunks
+    tiled = geom._edges_by_tiles
 
     def spy(*args):
         calls.append(args)
-        return chunked(*args)
-    monkeypatch.setattr(geom, "_edges_by_chunks", spy)
+        return tiled(*args)
+    monkeypatch.setattr(geom, "_edges_by_tiles", spy)
     return calls
 
 
 @pytest.mark.parametrize("d", [3, 513, 4096])
-def test_screened_gram_gives_the_float64_edges(d, chunk_calls):
-    """At n = 3000 (five row chunks) the float32-screened Gram products
-    give exactly the edges of the float64 Gram rule.  Beside the float32
-    points they hold one chunk and at most 4 MiB of gathered rows (about
-    1300 pairs are gathered at d = 4096)."""
+def test_screened_gram_gives_the_float64_edges(d, tile_calls):
+    """At n = 3000 the float32-screened Gram tiles give exactly the edges
+    of the float64 Gram rule.  Beside the points they hold at most 8 MiB:
+    a tile's float32 copies, its Gram block and mask, and the gathered
+    rows of the pairs in its margin (about 1300 pairs in all at
+    d = 4096)."""
     n, p = 3000, 4 / 3000
     pts = sample_sphere(n, d, RngStream(47, d))
     tracemalloc.start()
@@ -304,18 +320,18 @@ def test_screened_gram_gives_the_float64_edges(d, chunk_calls):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= pts.nbytes / 2 + 16 * 2 ** 20
-    assert len(chunk_calls) == 1
+    assert peak <= 8 * 2 ** 20, peak
+    assert len(tile_calls) == 1
     u, v = np.nonzero(np.triu(pts @ pts.T >= threshold(p, d), 1))
     np.testing.assert_array_equal(g.edges(), np.column_stack((u, v)))
 
 
 @pytest.mark.parametrize("pad", [0, 92], ids=["wide-margin", "screened"])
-def test_screened_gram_decides_the_margin_in_float64(pad, chunk_calls):
+def test_screened_gram_decides_the_margin_in_float64(pad, tile_calls):
     """Inner products within the float32 margin delta of t: those in
     (t - delta, t) give no edge, those in [t, t + delta) give one.  With
     8 rows the 7 pairs in the margin are more than 1/512 of the 64 Gram
-    entries, so the chunk is multiplied again in float64; with 92 more
+    entries, so the tile is multiplied again in float64; with 92 more
     rows orthogonal to all others they are computed again pair by pair."""
     d, p = 513, 4 / 3000
     t = threshold(p, d)
@@ -331,7 +347,7 @@ def test_screened_gram_decides_the_margin_in_float64(pad, chunk_calls):
     for a, c in enumerate(below + above, start=1):
         X[a, 0], X[a, a] = c, math.sqrt(1.0 - c * c)
     g = rgg_from_points(X, p)
-    assert len(chunk_calls) == 1
+    assert len(tile_calls) == 1
     assert g.edges().tolist() == [[0, a] for a in range(len(below) + 1,
                                                         len(X) - pad)]
     assert (g.to_dense() == _dense_rgg(X @ X.T, t)).all()
@@ -344,8 +360,9 @@ def test_screened_gram_without_edges():
 
 
 def test_screened_gram_memory_peak():
-    """The screen holds one float32 chunk, its boolean mask and the
-    float32 points; float64 rows are gathered 4 MiB at a time."""
+    """The screen holds the float32 copies of a tile's row and column
+    blocks, its Gram block and mask, and gathers float64 rows a CACHE_BYTES
+    batch at a time: at most 8 MiB beside the points."""
     pts = sample_sphere(3000, 513, RngStream(48))
     tracemalloc.start()
     try:
@@ -353,11 +370,11 @@ def test_screened_gram_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2 ** 20
+    assert peak <= 8 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("p", [0.02, 0.002])
-def test_gram_at_large_dimension_stays_in_float64(p, chunk_calls):
+def test_gram_at_large_dimension_stays_in_float64(p, tile_calls):
     """At n = 200 and d = 20000 the margin 2(d + 2) 2^-24 is a third of
     the spread 1/sqrt(d) of the inner products, so the products stay
     float64: the edges are those of the float64 Gram rule, with no float32
@@ -370,17 +387,37 @@ def test_gram_at_large_dimension_stays_in_float64(p, chunk_calls):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(chunk_calls) == 1
+    assert len(tile_calls) == 1
     u, v = np.nonzero(np.triu(pts @ pts.T >= threshold(p, d), 1))
     np.testing.assert_array_equal(g.edges(), np.column_stack((u, v)))
     assert peak <= pts.nbytes / 16
 
 
 def test_linear_to_pair_exhaustive():
+    """Every index of every n up to 64, and of n = 1000 and 3037, gives the
+    pair that np.triu_indices lists there; the integer oracle agrees with
+    itertools at small n."""
     for n in (2, 3, 5, 17):
-        k = np.arange(n * (n - 1) // 2)
-        expect = [i * n + j for i, j in itertools.combinations(range(n), 2)]
-        assert _linear_to_pair(k, n).tolist() == expect
+        expect = list(itertools.combinations(range(n), 2))
+        assert [exact_pair(x, n) for x in range(len(expect))] == expect
+    for n in (*range(2, 65), 1000, 3037):
+        i, j = _linear_to_pair(np.arange(n * (n - 1) // 2), n)
+        rows, cols = np.triu_indices(n, 1)
+        np.testing.assert_array_equal(i, rows)
+        np.testing.assert_array_equal(j, cols)
+
+
+@pytest.mark.parametrize("n", [10**9, 2 * 10**9, 3_037_000_499])
+def test_linear_to_pair_last_indices_at_large_n(n):
+    """Near the end of the enumeration the float guess of the row misses
+    by more than one row (by hundreds of indices at n = 10^9), so one
+    fix-up a side is not enough: the pairs must still be those of an exact
+    integer square root."""
+    total = n * (n - 1) // 2
+    k = np.arange(total - 20_000, total, dtype=np.int64)
+    expect = [exact_pair(x, n) for x in k.tolist()]
+    i, j = _linear_to_pair(k, n)
+    assert list(zip(i.tolist(), j.tolist())) == expect
 
 
 # ---------------------------------------------------------- triangles
@@ -967,7 +1004,7 @@ def test_store_follows_expected_edge_count():
         (sample_rgg(3000, sparse, 2, s),
          _rgg_circle(sample_sphere(3000, 2, s), threshold(sparse, 2)), True),
         (sample_rgg(3000, sparse, 512, s),
-         Graph._from_keys(3000, geom._edges_by_chunks(
+         Graph._from_keys(3000, geom._edges_by_tiles(
              sample_sphere(3000, 512, s), threshold(sparse, 512))), True),
     ]
     assert prefers_dense(30, 0.3 * 435) and prefers_dense(64, 0.5 * 2016)

@@ -1,7 +1,8 @@
 """Scale: trees with n = 10^6 and block models with n = 10^5 run through the
 CLI in a fresh process, in well under a GiB of resident memory, and an urn
 ensemble of 2 * 10^8 draws in under half a GiB.  Building a block model's
-edges, rows and label counts takes at most 40 bytes an edge.
+edges, rows and label counts takes at most 40 bytes an edge (its edges
+alone 25), and a sparse geometric command little beyond its points.
 
 Each command runs under a small wrapper process, so RUSAGE_CHILDREN sees
 that command alone and not other children of the pytest process.
@@ -15,6 +16,7 @@ import tracemalloc
 import pytest
 
 from checks import child_env
+from netinfer.cli import main
 from netinfer.graphcore import RngStream, bernoulli_pairs
 from netinfer.sbm import SbmParams, genie_recover, pairwise_error, sample_sbm
 
@@ -184,7 +186,10 @@ def test_block_model_phases_stay_within_40_bytes_an_edge():
     """At n = 2 * 10^5 (about 6 * 10^6 edges) sampling the block model, the
     first csr() and then one genie_recover round each peak at most 40 bytes
     an edge above what was allocated before them (tracemalloc).  The edge
-    store itself is 16 B/edge, and the compressed rows 16 more."""
+    store itself is 16 B/edge, and the compressed rows 16 more.  Sampling
+    peaks at 25 B/edge: its floor is the sorted keys beside the edge
+    array, 24 B/edge (32.6 when each block pair's keys were split back
+    into rows and columns and keyed again)."""
     params = SbmParams.symmetric(2, 9.0, 1.0)
     tracemalloc.start()
     try:
@@ -202,6 +207,7 @@ def test_block_model_phases_stay_within_40_bytes_an_edge():
         tracemalloc.stop()
     per_edge = {name: peak / lg.graph.m for name, peak in peaks.items()}
     assert max(per_edge.values()) <= 40, per_edge
+    assert per_edge["sample_sbm"] <= 25, per_edge
 
 
 def _peak(call) -> tuple:
@@ -232,3 +238,16 @@ def test_poisson_error_lattice_takes_at_most_24_bytes_a_cell():
     value, peak = _peak(lambda: pairwise_error([1.0] * 4, [1.1] * 4, 0.5, 0.5))
     assert 0.0 < value.value < 1.0
     assert peak / 45 ** 4 <= 24, peak / 45 ** 4
+
+
+def test_sparse_geometric_command_holds_little_beyond_its_points(capsys):
+    """`geom sparse` at n = 3000, d = 512 draws two G(n, c/n, d) from
+    11.7 MiB of sphere points each.  Their rows are normalized and their
+    Gram products screened a few MiB at a time, so the command's traced
+    peak stays under 20 MiB (27.3 when the norms took an n x d array of
+    squares and the screen a float32 copy of all the points)."""
+    argv = "geom sparse --n 3000 --c 4 --d 512 --replicas 2 --seed 11".split()
+    code, peak = _peak(lambda: main(argv))
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0 and record["command"] == "geom sparse"
+    assert peak <= 20 * 2 ** 20, peak / 2 ** 20
